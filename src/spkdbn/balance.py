@@ -64,16 +64,21 @@ def impostor_frequencies(targets, impostors, n_local: int) -> np.ndarray:
     return f
 
 
-def select_impostors(targets, impostors, cfg: ImpostorSelectionConfig) -> list[int]:
-    """Indices of the kappa most frequently top-N-ranked impostors.
+def rank_impostors(frequencies, kappa: int) -> list[int]:
+    """Indices of the kappa largest frequencies.
 
     Sorted by descending frequency, ties broken by ascending index.
     """
-    f = impostor_frequencies(targets, impostors, cfg.n_local)
-    if cfg.kappa > f.size:
-        raise ValueError(f"kappa={cfg.kappa} exceeds impostor count {f.size}")
+    f = np.asarray(frequencies)
+    if not 1 <= kappa <= f.size:
+        raise ValueError(f"kappa={kappa} out of range for impostor count {f.size}")
     order = np.lexsort((np.arange(f.size), -f))
-    return [int(i) for i in order[: cfg.kappa]]
+    return [int(i) for i in order[:kappa]]
+
+
+def select_impostors(targets, impostors, cfg: ImpostorSelectionConfig) -> list[int]:
+    """Indices of the kappa most frequently top-N-ranked impostors."""
+    return rank_impostors(impostor_frequencies(targets, impostors, cfg.n_local), cfg.kappa)
 
 
 def _repair_empty_clusters(assign: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:

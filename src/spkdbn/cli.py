@@ -204,7 +204,7 @@ class _Paths:
     @property
     def centroids(self): return os.path.join(self.out, "centroids.txt")
     @property
-    def whitener(self): return os.path.join(self.out, "whitener.txt")
+    def whitener(self): return os.path.join(self.out, "whitener.npz")
     @property
     def models_dir(self): return os.path.join(self.out, "models")
     @property
@@ -274,8 +274,7 @@ def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths) -> None:
     targets = [average_embeddings(vs) for vs in _speaker_groups(enroll).values()]
     impostors = background.matrix()
     freqs = balance.impostor_frequencies(targets, impostors, cfg.impostor_n)
-    sel_cfg = balance.ImpostorSelectionConfig(cfg.impostor_n, min(cfg.impostor_kappa, len(background)))
-    selected = balance.select_impostors(targets, impostors, sel_cfg)
+    selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(background)))
     ids = background.utterance_ids()
     with open(paths.selected, "w") as fh:
         for idx in selected:

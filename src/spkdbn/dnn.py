@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from scipy.special import expit
 
 from .balance import MinibatchPlan
-from .embeddings import ParseError, _fmt
+from .embeddings import load_arrays, save_arrays
 from .rbm import NumericalError
 from .udbn import DbnParams
 
@@ -212,36 +212,13 @@ def score_llr_batch(model: DnnModel, X: np.ndarray) -> np.ndarray:
 
 
 def save_dnn(model: DnnModel, path) -> None:
-    """Model file: `DNN v1`, layer sizes, activation tags, weight/bias blocks."""
-    sizes = model.layer_sizes
-    acts = ["sigmoid"] * (len(model.weights) - 1) + ["softmax"]
-    with open(path, "w") as fh:
-        fh.write("DNN v1\n")
-        fh.write("sizes " + " ".join(str(s) for s in sizes) + "\n")
-        fh.write("activations " + " ".join(acts) + "\n")
-        for W, b in zip(model.weights, model.biases):
-            fh.write(" ".join(_fmt(x) for x in b) + "\n")
-            for row in W:
-                fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    """Model file: archive tagged `dnn` with `W<i>` (n_in, n_out) and
+    `b<i>` per layer; hidden layers are sigmoid, the last is the softmax."""
+    save_arrays(path, "dnn", **{f"W{i}": W for i, W in enumerate(model.weights)},
+                **{f"b{i}": b for i, b in enumerate(model.biases)})
 
 
 def load_dnn(path) -> DnnModel:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    try:
-        if lines[0] != "DNN v1":
-            raise ParseError(f"{path}: expected 'DNN v1' header")
-        sizes = [int(x) for x in lines[1].split()[1:]]
-        weights, biases = [], []
-        pos = 3
-        for n_in, n_out in zip(sizes, sizes[1:]):
-            biases.append(np.array([float(x) for x in lines[pos].split()]))
-            weights.append(
-                np.stack(
-                    [np.array([float(x) for x in lines[pos + 1 + i].split()]) for i in range(n_in)]
-                )
-            )
-            pos += 1 + n_in
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed DNN file ({exc})") from None
-    return DnnModel(weights, biases)
+    arrays = load_arrays(path, "dnn")
+    n = sum(name.startswith("W") for name in arrays)
+    return DnnModel([arrays[f"W{i}"] for i in range(n)], [arrays[f"b{i}"] for i in range(n)])

@@ -1,4 +1,5 @@
-"""Utterance embedding containers, text I/O, synthetic data and whitening.
+"""Utterance embedding containers, text I/O, the float64 `.npz` store for
+model and whitener files, synthetic data and whitening.
 
 Embeddings are fixed-dimension real vectors with an utterance id and an
 optional speaker label.  The text format is one record per line:
@@ -12,6 +13,7 @@ speaker label '-' marks unlabeled (background) data.
 from __future__ import annotations
 
 import re
+import zipfile
 
 import numpy as np
 from dataclasses import dataclass
@@ -21,7 +23,57 @@ FLOAT_FMT = "%.17g"
 
 
 class ParseError(ValueError):
-    """Malformed input file; the message names the offending line."""
+    """Malformed input file; the message names the file, and the offending
+    line of a text file."""
+
+
+class _Arrays(dict):
+    """The arrays of one archive; a missing name raises ParseError."""
+
+    def __init__(self, path, arrays: dict):
+        super().__init__(arrays)
+        self.path = path
+
+    def __missing__(self, name):
+        raise ParseError(f"{self.path}: missing array {name!r}")
+
+
+def save_arrays(path, kind: str, **arrays) -> None:
+    """Write named float64 arrays and the format tag `kind` to `path` as an
+    uncompressed `.npz` archive; floats round-trip exactly.
+
+    Model and whitener files go through this function and `load_arrays`
+    only.  np.savez is given an open file because it appends `.npz` to a
+    name that lacks it.
+    """
+    data = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+    with open(path, "wb") as fh:
+        np.savez(fh, format=np.array(kind), **data)
+
+
+def load_arrays(path, kind: str) -> dict[str, np.ndarray]:
+    """Read an archive written by `save_arrays` with the same `kind`.
+
+    Raises ParseError naming the path for a file that is not such an
+    archive, a different format tag, an array that is not float64 (object
+    arrays are never unpickled), and, on lookup, a missing array name.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(4) != b"PK\x03\x04":
+                raise ValueError("not an .npz archive")
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
+        raise ParseError(f"{path}: unreadable {kind} file ({exc})") from None
+    tag = str(arrays.pop("format", "missing"))
+    if tag != kind:
+        raise ParseError(f"{path}: expected a {kind} file, format tag is {tag!r}")
+    for name, a in arrays.items():
+        if a.dtype != np.float64:
+            raise ParseError(f"{path}: array {name!r} is {a.dtype}, not float64")
+    return _Arrays(path, arrays)
 
 
 def _fmt(x: float) -> str:
@@ -259,24 +311,14 @@ def apply_whitener(w: Whitener, v: np.ndarray) -> np.ndarray:
 
 
 def save_whitener(w: Whitener, path) -> None:
-    """Whitener file: line 1 `d`, line 2 mean, next d lines transform rows."""
-    d = w.mean.size
-    with open(path, "w") as fh:
-        fh.write(f"{d}\n")
-        fh.write(" ".join(_fmt(x) for x in w.mean) + "\n")
-        for row in w.transform:
-            fh.write(" ".join(_fmt(x) for x in row) + "\n")
+    """Whitener file: archive tagged `whitener` with `mean` (d,) and
+    `transform` (d, d)."""
+    save_arrays(path, "whitener", mean=w.mean, transform=w.transform)
 
 
 def load_whitener(path) -> Whitener:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        d = int(lines[0])
-        mean = np.array([float(x) for x in lines[1].split()])
-        rows = [np.array([float(x) for x in ln.split()]) for ln in lines[2 : 2 + d]]
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed whitener file ({exc})") from None
-    if mean.size != d or len(rows) != d or any(r.size != d for r in rows):
-        raise ParseError(f"{path}: whitener dimensions inconsistent with d={d}")
-    return Whitener(mean, np.stack(rows))
+    arrays = load_arrays(path, "whitener")
+    mean, transform = arrays["mean"], arrays["transform"]
+    if mean.ndim != 1 or transform.shape != (mean.size, mean.size):
+        raise ParseError(f"{path}: whitener dimensions inconsistent with d={mean.size}")
+    return Whitener(mean, transform)

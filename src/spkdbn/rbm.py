@@ -14,7 +14,7 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.special import expit
 
-from .embeddings import Dataset, ParseError, _fmt
+from .embeddings import Dataset
 
 VISIBLE_KINDS = ("gaussian", "bernoulli")
 
@@ -192,44 +192,3 @@ def train_rbm(data, cfg: RbmTrainConfig, kind: str, n_hidden: int):
             err_sum += err * batch.shape[0]
         errors.append(err_sum / n)
     return rbm, errors
-
-
-def write_rbm_block(fh, rbm: RbmParams) -> None:
-    fh.write("RBM v1\n")
-    fh.write(f"{rbm.visible_kind}\n")
-    fh.write(f"{rbm.n_visible} {rbm.n_hidden}\n")
-    fh.write(" ".join(_fmt(x) for x in rbm.b_vis) + "\n")
-    fh.write(" ".join(_fmt(x) for x in rbm.b_hid) + "\n")
-    for row in rbm.W:
-        fh.write(" ".join(_fmt(x) for x in row) + "\n")
-
-
-def read_rbm_block(lines, pos: int):
-    """Parse one RBM block starting at lines[pos]; returns (RbmParams, next_pos)."""
-    try:
-        if lines[pos] != "RBM v1":
-            raise ParseError(f"expected 'RBM v1' header at line {pos + 1}")
-        kind = lines[pos + 1]
-        n_vis, n_hid = (int(x) for x in lines[pos + 2].split())
-        b_vis = np.array([float(x) for x in lines[pos + 3].split()])
-        b_hid = np.array([float(x) for x in lines[pos + 4].split()])
-        W = np.stack(
-            [np.array([float(x) for x in lines[pos + 5 + i].split()]) for i in range(n_vis)]
-        )
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"malformed RBM block at line {pos + 1}: {exc}") from None
-    if b_vis.size != n_vis or b_hid.size != n_hid or W.shape != (n_vis, n_hid):
-        raise ParseError(f"RBM block at line {pos + 1}: inconsistent dimensions")
-    return RbmParams(kind, W, b_vis, b_hid), pos + 5 + n_vis
-
-
-def save_rbm(rbm: RbmParams, path) -> None:
-    with open(path, "w") as fh:
-        write_rbm_block(fh, rbm)
-
-
-def load_rbm(path) -> RbmParams:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    rbm, _ = read_rbm_block(lines, 0)
-    return rbm

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from . import rbm as rbm_mod
-from .embeddings import Dataset, ParseError
+from .embeddings import Dataset, load_arrays, save_arrays
 from .rbm import RbmParams, RbmTrainConfig, RbmVelocity, cd1_step, hidden_probs, train_rbm
 
 
@@ -147,28 +146,21 @@ def adapt_udbn(udbn_norm: DbnParams, balanced_minibatches, cfg: AdaptConfig) -> 
 
 
 def save_dbn(dbn: DbnParams, path) -> None:
-    """DBN file: `DBN v1`, normalized flag, layer count, RBM v1 blocks."""
-    with open(path, "w") as fh:
-        fh.write("DBN v1\n")
-        fh.write(f"normalized {int(dbn.normalized)}\n")
-        fh.write(f"layers {len(dbn.layers)}\n")
-        for layer in dbn.layers:
-            rbm_mod.write_rbm_block(fh, layer)
+    """DBN file: archive tagged `dbn` with the `normalized` flag (0 or 1)
+    and, per layer k, `W<k>`, `b_vis<k>` and `b_hid<k>`.  Layer 0 has
+    gaussian visible units, the layers above bernoulli ones."""
+    arrays = {"normalized": float(dbn.normalized)}
+    for k, layer in enumerate(dbn.layers):
+        arrays |= {f"W{k}": layer.W, f"b_vis{k}": layer.b_vis, f"b_hid{k}": layer.b_hid}
+    save_arrays(path, "dbn", **arrays)
 
 
 def load_dbn(path) -> DbnParams:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    try:
-        if lines[0] != "DBN v1":
-            raise ParseError(f"{path}: expected 'DBN v1' header")
-        normalized = bool(int(lines[1].split()[1]))
-        n_layers = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed DBN header ({exc})") from None
-    layers = []
-    pos = 3
-    for _ in range(n_layers):
-        layer, pos = rbm_mod.read_rbm_block(lines, pos)
-        layers.append(layer)
-    return DbnParams(layers, normalized)
+    arrays = load_arrays(path, "dbn")
+    depth = sum(name.startswith("W") for name in arrays)
+    layers = [
+        RbmParams("gaussian" if k == 0 else "bernoulli",
+                  arrays[f"W{k}"], arrays[f"b_vis{k}"], arrays[f"b_hid{k}"])
+        for k in range(depth)
+    ]
+    return DbnParams(layers, bool(arrays["normalized"]))

@@ -207,7 +207,7 @@ def _run_hashes(root, pairs, jobs):
     run_pipeline(resolve_config(pairs), jobs=jobs)
     out = root / "out"
     names = sorted(p.relative_to(out) for p in out.rglob("*")
-                   if p.is_file() and (p.suffix in (".txt", ".dnn", ".dbn")))
+                   if p.is_file() and (p.suffix in (".txt", ".dnn", ".dbn", ".npz")))
     return {str(n): hashlib.sha256((out / n).read_bytes()).hexdigest() for n in names}
 
 

@@ -74,7 +74,7 @@ def test_pipeline_end_to_end_and_artifacts(tmp_path):
     reports = run_pipeline(cfg)
     out = tmp_path / "exp" / "out"
     for name in ("udbn.dbn", "udbn_norm.dbn", "selected_impostors.txt", "centroids.txt",
-                 "whitener.txt", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
+                 "whitener.npz", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
                  "report_dnn.txt", "det_dnn.csv"):
         assert (out / name).exists(), name
     assert (out / "models" / "spk0000.dnn").exists()
@@ -147,3 +147,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
                         "test=missing.txt\ntrials=missing.txt\nout=o\n")
     assert main(["run", "--config", str(cfg_file)]) == 1
     assert "missing input" in capsys.readouterr().err
+
+
+def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp")
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()))
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    out = tmp_path / "exp" / "out"
+    model = out / "models" / "spk0003.dnn"
+    model.write_bytes(model.read_bytes()[:100])
+    os.remove(out / "scores_dnn.txt")
+    capsys.readouterr()
+    assert main(["score", "--config", str(cfg_file)]) == 1
+    assert str(model) in capsys.readouterr().err

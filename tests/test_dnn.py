@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import forward_oracle
 from spkdbn.balance import build_minibatch_plan
+from spkdbn.embeddings import ParseError
 from spkdbn.dnn import (
     DnnModel,
     DnnVelocity,
@@ -19,7 +22,7 @@ from spkdbn.dnn import (
     train_speaker_dnn,
 )
 from spkdbn.rbm import RbmParams
-from spkdbn.udbn import DbnParams
+from spkdbn.udbn import DbnParams, save_dbn
 
 
 def test_init_random_contract():
@@ -241,3 +244,59 @@ def test_dnn_file_roundtrip(tmp_path):
     back = load_dnn(p)
     assert all(np.array_equal(a, b) for a, b in zip(m.weights, back.weights))
     assert all(np.array_equal(a, b) for a, b in zip(m.biases, back.biases))
+
+
+_UNPICKLED = []
+
+
+def _record_unpickling():
+    _UNPICKLED.append(True)
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def _assert_unreadable(path) -> str:
+    with pytest.raises(ParseError, match=re.escape(str(path))) as excinfo:
+        load_dnn(path)
+    return str(excinfo.value)
+
+
+def test_truncated_model_file_is_rejected(tmp_path):
+    p = tmp_path / "m.dnn"
+    save_dnn(_random_model([4, 5, 2], seed=12), p)
+    p.write_bytes(p.read_bytes()[:-40])
+    _assert_unreadable(p)
+
+
+def test_text_or_garbage_model_file_is_rejected(tmp_path):
+    p = tmp_path / "m.dnn"
+    p.write_text("DNN v1\nsizes 4 5 2\n")
+    _assert_unreadable(p)
+    p.write_bytes(bytes(range(256)))
+    _assert_unreadable(p)
+
+
+def test_dbn_file_is_not_a_model_file(tmp_path):
+    p = tmp_path / "u.dbn"
+    rbm = RbmParams("gaussian", np.ones((4, 5)), np.zeros(4), np.zeros(5))
+    save_dbn(DbnParams([rbm]), p)
+    assert "format tag is 'dbn'" in _assert_unreadable(p)
+
+
+def test_model_file_must_hold_float64_arrays(tmp_path):
+    m = _random_model([4, 5, 2], seed=13)
+    arrays = {"format": np.array("dnn"), "W1": m.weights[1], "b0": m.biases[0],
+              "b1": m.biases[1]}
+    p = tmp_path / "f32.dnn"
+    with open(p, "wb") as fh:
+        np.savez(fh, W0=m.weights[0].astype(np.float32), **arrays)
+    _assert_unreadable(p)
+    # an object array would need unpickling, which must never happen
+    p = tmp_path / "obj.dnn"
+    with open(p, "wb") as fh:
+        np.savez(fh, W0=np.array([_Tripwire()], dtype=object), **arrays)
+    _assert_unreadable(p)
+    assert not _UNPICKLED

@@ -10,10 +10,8 @@ from spkdbn.rbm import (
     cd1_step,
     hidden_probs,
     init_rbm,
-    load_rbm,
     reconstruct_visible,
     sample_bernoulli,
-    save_rbm,
     train_rbm,
 )
 
@@ -191,14 +189,3 @@ def test_train_rbm_deterministic():
     r2, e2 = train_rbm(X, cfg, "gaussian", 4)
     assert np.array_equal(r1.W, r2.W)
     assert e1 == e2
-
-
-def test_rbm_file_roundtrip(tmp_path):
-    rbm, _ = train_rbm(_bimodal(1), _cfg(learning_rate=0.01, epochs=3), "gaussian", 4)
-    p = tmp_path / "m.rbm"
-    save_rbm(rbm, p)
-    back = load_rbm(p)
-    assert back.visible_kind == rbm.visible_kind
-    assert np.array_equal(back.W, rbm.W)
-    assert np.array_equal(back.b_vis, rbm.b_vis)
-    assert np.array_equal(back.b_hid, rbm.b_hid)
