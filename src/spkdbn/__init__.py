@@ -1,80 +1,3 @@
 """DBN/DNN speaker verification over fixed-dimension utterance embeddings."""
 
-from .embeddings import (
-    Dataset,
-    Embedding,
-    ParseError,
-    SynthConfig,
-    Whitener,
-    apply_whitener,
-    average_embeddings,
-    fit_whitener,
-    generate_synthetic,
-    length_normalize,
-    load_embeddings,
-    save_embeddings,
-)
-from .rbm import (
-    NumericalError,
-    RbmParams,
-    RbmTrainConfig,
-    cd1_step,
-    hidden_probs,
-    init_rbm,
-    reconstruct_visible,
-    sample_bernoulli,
-    train_rbm,
-)
-from .udbn import AdaptConfig, DbnParams, adapt_udbn, normalize_udbn, train_udbn
-from .balance import (
-    ImpostorSelectionConfig,
-    Minibatch,
-    MinibatchPlan,
-    build_minibatch_plan,
-    combine_targets,
-    cosine_score,
-    kmeans_cosine,
-    replicate_targets,
-    select_impostors,
-)
-from .dnn import (
-    DnnModel,
-    FineTuneConfig,
-    backprop_minibatch,
-    forward,
-    init_from_dbn,
-    init_random,
-    score_llr,
-    train_speaker_dnn,
-)
-from .evaluation import (
-    EvalReport,
-    Trial,
-    compute_eer,
-    compute_min_dcf,
-    det_points,
-    evaluate_trials,
-    fuse,
-    mean_var_normalize,
-    score_baseline,
-)
-from .cli import ExperimentConfig, PipelineError, resolve_config, run_pipeline
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdaptConfig", "DbnParams", "Dataset", "DnnModel", "Embedding", "EvalReport",
-    "ExperimentConfig", "FineTuneConfig", "ImpostorSelectionConfig", "Minibatch",
-    "MinibatchPlan", "NumericalError", "ParseError", "PipelineError", "RbmParams",
-    "RbmTrainConfig", "SynthConfig", "Trial", "Whitener", "adapt_udbn",
-    "apply_whitener", "average_embeddings", "backprop_minibatch",
-    "build_minibatch_plan", "cd1_step", "combine_targets", "compute_eer",
-    "compute_min_dcf", "cosine_score", "det_points", "evaluate_trials",
-    "fit_whitener", "forward", "fuse", "generate_synthetic", "hidden_probs",
-    "init_from_dbn", "init_random", "init_rbm", "kmeans_cosine",
-    "length_normalize", "load_embeddings", "mean_var_normalize",
-    "normalize_udbn", "reconstruct_visible", "replicate_targets",
-    "resolve_config", "run_pipeline", "sample_bernoulli", "save_embeddings",
-    "score_baseline", "score_llr", "select_impostors", "train_rbm",
-    "train_speaker_dnn", "train_udbn",
-]

@@ -3,8 +3,9 @@
 Impostor selection keeps the background vectors that score among the
 top-N cosine neighbors of the most enrolled speakers; the survivors are
 clustered with cosine k-means and the centroids become the negative
-samples.  Targets are replicated (or combined) to match, and targets and
-centroids are distributed equally among minibatches.
+samples.  The centroids are split into equal groups, one per minibatch.
+In single mode the one target vector is tiled to the group size; in
+multi mode the speaker's session count must equal the group size.
 """
 
 from __future__ import annotations
@@ -135,24 +136,6 @@ def kmeans_cosine(vectors, k: int, seed: int, max_iter: int = 100) -> np.ndarray
         for j in range(k):
             centroids[j] = X[assign == j].mean(axis=0)
     return centroids
-
-
-def replicate_targets(target: np.ndarray, count: int) -> list[np.ndarray]:
-    """`count` identical copies of the target vector."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    v = np.asarray(target, dtype=float)
-    return [v.copy() for _ in range(count)]
-
-
-def combine_targets(targets, n: int) -> list[np.ndarray]:
-    """Average every consecutive group of n vectors (last group may be short)."""
-    vs = [np.asarray(v, dtype=float) for v in targets]
-    if not vs:
-        raise ValueError("combine_targets: empty input")
-    if not 1 <= n <= len(vs):
-        raise ValueError(f"n={n} out of range for {len(vs)} targets")
-    return [np.stack(vs[i : i + n]).mean(axis=0) for i in range(0, len(vs), n)]
 
 
 @dataclass(frozen=True)

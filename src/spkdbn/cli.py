@@ -2,10 +2,13 @@
 
 Wires the full flow: background data -> universal DBN -> impostor
 selection and clustering -> per-speaker adaptation and fine-tuning ->
-LLR and cosine-baseline scoring -> fusion -> evaluation.  Every stage
-persists its artifacts under the output directory with a config-hash
-stamp, so re-runs skip completed stages; a stamp that does not match the
-current config aborts the run instead of silently mixing results.
+LLR and cosine-baseline scoring -> fusion -> evaluation.  The stages
+are declared once, in `STAGES`; `run` walks every entry and each stage
+subcommand runs only its own.  Every stage persists its artifacts under
+the output directory with a stamp that hashes the config and the
+contents of the four input files, so re-runs skip completed stages; a
+stamp that does not match (the config or an input file changed) aborts
+the run instead of silently mixing results.
 
 Configuration is a flat key=value text file; `--override key=value`
 wins over the file, and preset defaults (per task and depth) fill
@@ -26,6 +29,7 @@ import numpy as np
 from . import balance, dnn, evaluation, udbn
 from .embeddings import (
     Dataset,
+    Embedding,
     SynthConfig,
     average_embeddings,
     fit_whitener,
@@ -154,23 +158,36 @@ def _stamp_path(artifact: str) -> str:
     return artifact + ".hash"
 
 
-def _stage(name: str, artifacts: list[str], chash: str, fn) -> bool:
+def _run_stamp(cfg: ExperimentConfig) -> str:
+    """Stamp for this config and these inputs: the config hash and the
+    SHA-256 of the contents of each of the four input files."""
+    stamp = hashlib.sha256(config_hash(cfg).encode())
+    for path in (cfg.background, cfg.enroll, cfg.test, cfg.trials):
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        stamp.update(digest.digest())
+    return stamp.hexdigest()
+
+
+def _stage(name: str, artifacts: list[str], stamp: str, fn) -> bool:
     """Run fn unless every artifact exists with a matching stamp.
 
     Returns True when the stage executed, False when skipped.  An
-    existing artifact whose stamp disagrees with the current config is a
-    hard error (resume with a different config).
+    existing artifact whose stamp disagrees with the current one is a
+    hard error (resume after the config or an input file changed).
     """
     done = []
     for art in artifacts:
-        stamp = _stamp_path(art)
-        if os.path.exists(art) and os.path.exists(stamp):
-            with open(stamp) as fh:
+        stamp_path = _stamp_path(art)
+        if os.path.exists(art) and os.path.exists(stamp_path):
+            with open(stamp_path) as fh:
                 recorded = fh.read().strip()
-            if recorded != chash:
+            if recorded != stamp:
                 raise PipelineError(
-                    f"stage {name}: config-hash mismatch on resume for {art} "
-                    "(clean the output directory or use a fresh one)"
+                    f"stage {name}: config-hash mismatch on resume for {art}: the config "
+                    "or an input file changed (clean the output directory or use a fresh one)"
                 )
             done.append(True)
         else:
@@ -187,7 +204,7 @@ def _stage(name: str, artifacts: list[str], chash: str, fn) -> bool:
         if not os.path.exists(art):
             raise PipelineError(f"stage {name}: expected artifact {art} was not produced")
         with open(_stamp_path(art), "w") as fh:
-            fh.write(chash + "\n")
+            fh.write(stamp + "\n")
     return True
 
 
@@ -291,7 +308,6 @@ def stage_cluster(cfg: ExperimentConfig, paths: _Paths) -> None:
         vectors, cfg.num_centroids, seed=derive_seed(cfg.master_seed, "kmeans"),
         max_iter=cfg.kmeans_max_iter,
     )
-    from .embeddings import Embedding
     ds = Dataset.from_embeddings(
         [Embedding(f"centroid_{j}", None, c) for j, c in enumerate(centroids)]
     )
@@ -311,7 +327,10 @@ def _build_plan(cfg: ExperimentConfig, targets: np.ndarray, centroids: np.ndarra
 def _train_one_speaker(args) -> str:
     """Worker: adapt (optionally) and fine-tune one speaker's DNN."""
     cfg, speaker_id, targets, centroids, udbn_path, model_path = args
-    plan = _build_plan(cfg, targets, centroids)
+    try:
+        plan = _build_plan(cfg, targets, centroids)
+    except ValueError as exc:
+        raise ValueError(f"speaker {speaker_id}: {exc}") from exc
     spk_seed = derive_seed(cfg.master_seed, speaker_id)
     if cfg.init_mode == "dbn":
         base = udbn.load_dbn(udbn_path)
@@ -333,7 +352,6 @@ def _train_one_speaker(args) -> str:
         epochs=cfg.ft_epochs,
         momentum=cfg.ft_momentum,
         weight_decay=cfg.ft_weight_decay,
-        seed=spk_seed,
     )
     trained = dnn.train_speaker_dnn(model, plan, ft_cfg)
     dnn.save_dnn(trained, model_path)
@@ -413,32 +431,57 @@ def stage_evaluate(cfg: ExperimentConfig, paths: _Paths) -> None:
         evaluation.save_report(report, paths.report(system), paths.det_csv(system))
 
 
-def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> dict[str, str]:
-    """Execute all stages, skipping the ones already completed for this
-    exact config.  Returns the per-system report paths."""
+_SYSTEMS = ("dnn", "baseline", "fused")
+
+
+def _speaker_artifacts(cfg: ExperimentConfig, paths: _Paths) -> list[str]:
+    """One model per enrolled speaker, then the model list; parses enroll."""
+    speakers = sorted(_speaker_groups(load_embeddings(cfg.enroll)))
+    return [paths.model(spk) for spk in speakers] + [paths.models_list]
+
+
+# The pipeline in order, as (name, artifacts(cfg, paths), run(cfg, paths, jobs)).
+# Each run looks its stage_* function up in the module globals when called,
+# so a wrapper installed on this module (the benchmark's span tracer) runs.
+STAGES = (
+    ("train-udbn", lambda cfg, paths: [paths.udbn, paths.udbn_norm],
+     lambda cfg, paths, jobs: stage_train_udbn(cfg, paths)),
+    ("select-impostors", lambda cfg, paths: [paths.selected],
+     lambda cfg, paths, jobs: stage_select_impostors(cfg, paths)),
+    ("cluster", lambda cfg, paths: [paths.centroids],
+     lambda cfg, paths, jobs: stage_cluster(cfg, paths)),
+    ("train-speakers", _speaker_artifacts,
+     lambda cfg, paths, jobs: stage_train_speakers(cfg, paths, jobs)),
+    ("score", lambda cfg, paths: [paths.scores_dnn],
+     lambda cfg, paths, jobs: stage_score_dnn(cfg, paths)),
+    ("score-baseline", lambda cfg, paths: [paths.scores_baseline, paths.whitener],
+     lambda cfg, paths, jobs: stage_score_baseline(cfg, paths)),
+    ("fuse", lambda cfg, paths: [paths.scores_fused],
+     lambda cfg, paths, jobs: stage_fuse(paths)),
+    ("evaluate",
+     lambda cfg, paths: [paths.report(s) for s in _SYSTEMS] + [paths.det_csv(s) for s in _SYSTEMS],
+     lambda cfg, paths, jobs: stage_evaluate(cfg, paths)),
+)
+
+
+def _run_stages(cfg: ExperimentConfig, jobs: int, only: str | None = None) -> _Paths:
+    """Run every STAGES entry, or only the one named, skipping the ones
+    already completed for this exact config and these inputs."""
     _validate_inputs(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     paths = _Paths(cfg.out)
-    chash = config_hash(cfg)
-    enroll = load_embeddings(cfg.enroll)
-    model_paths = [paths.model(spk) for spk in sorted(_speaker_groups(enroll))]
+    stamp = _run_stamp(cfg)
+    for name, artifacts, run in STAGES:
+        if only in (None, name):
+            _stage(name, artifacts(cfg, paths), stamp, lambda: run(cfg, paths, jobs))
+    return paths
 
-    _stage("train-udbn", [paths.udbn, paths.udbn_norm], chash,
-           lambda: stage_train_udbn(cfg, paths))
-    _stage("select-impostors", [paths.selected], chash,
-           lambda: stage_select_impostors(cfg, paths))
-    _stage("cluster", [paths.centroids], chash, lambda: stage_cluster(cfg, paths))
-    _stage("train-speakers", model_paths + [paths.models_list], chash,
-           lambda: stage_train_speakers(cfg, paths, jobs))
-    _stage("score", [paths.scores_dnn], chash, lambda: stage_score_dnn(cfg, paths))
-    _stage("score-baseline", [paths.scores_baseline, paths.whitener], chash,
-           lambda: stage_score_baseline(cfg, paths))
-    _stage("fuse", [paths.scores_fused], chash, lambda: stage_fuse(paths))
-    _stage("evaluate",
-           [paths.report(s) for s in ("dnn", "baseline", "fused")]
-           + [paths.det_csv(s) for s in ("dnn", "baseline", "fused")],
-           chash, lambda: stage_evaluate(cfg, paths))
-    return {s: paths.report(s) for s in ("dnn", "baseline", "fused")}
+
+def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> dict[str, str]:
+    """Execute all stages, skipping the ones already completed for this
+    exact config and these inputs.  Returns the per-system report paths."""
+    paths = _run_stages(cfg, jobs)
+    return {s: paths.report(s) for s in _SYSTEMS}
 
 
 def _load_cli_config(args) -> ExperimentConfig:
@@ -480,8 +523,7 @@ def main(argv=None) -> int:
                      help="write '-' speaker labels (background data)")
     gen.add_argument("--out", required=True)
 
-    for name in ("run", "train-udbn", "select-impostors", "cluster", "train-speakers",
-                 "score", "score-baseline", "fuse", "evaluate"):
+    for name in ("run", *(name for name, _, _ in STAGES)):
         _add_common(sub.add_parser(name))
 
     args = parser.parse_args(argv)
@@ -492,7 +534,6 @@ def main(argv=None) -> int:
                             args.between_spread, args.within_spread, args.seed)
             )
             if args.unlabeled:
-                from .embeddings import Embedding
                 ds = Dataset.from_embeddings(
                     [Embedding(e.utterance_id, None, e.values) for e in ds.embeddings]
                 )
@@ -507,35 +548,7 @@ def main(argv=None) -> int:
                     print(f"{system}: {fh.readline().strip()}")
             return 0
 
-        _validate_inputs(cfg)
-        os.makedirs(cfg.out, exist_ok=True)
-        paths = _Paths(cfg.out)
-        chash = config_hash(cfg)
-        if args.command == "train-udbn":
-            _stage("train-udbn", [paths.udbn, paths.udbn_norm], chash,
-                   lambda: stage_train_udbn(cfg, paths))
-        elif args.command == "select-impostors":
-            _stage("select-impostors", [paths.selected], chash,
-                   lambda: stage_select_impostors(cfg, paths))
-        elif args.command == "cluster":
-            _stage("cluster", [paths.centroids], chash, lambda: stage_cluster(cfg, paths))
-        elif args.command == "train-speakers":
-            enroll = load_embeddings(cfg.enroll)
-            model_paths = [paths.model(s) for s in sorted(_speaker_groups(enroll))]
-            _stage("train-speakers", model_paths + [paths.models_list], chash,
-                   lambda: stage_train_speakers(cfg, paths, args.jobs))
-        elif args.command == "score":
-            _stage("score", [paths.scores_dnn], chash, lambda: stage_score_dnn(cfg, paths))
-        elif args.command == "score-baseline":
-            _stage("score-baseline", [paths.scores_baseline, paths.whitener], chash,
-                   lambda: stage_score_baseline(cfg, paths))
-        elif args.command == "fuse":
-            _stage("fuse", [paths.scores_fused], chash, lambda: stage_fuse(paths))
-        elif args.command == "evaluate":
-            _stage("evaluate",
-                   [paths.report(s) for s in ("dnn", "baseline", "fused")]
-                   + [paths.det_csv(s) for s in ("dnn", "baseline", "fused")],
-                   chash, lambda: stage_evaluate(cfg, paths))
+        _run_stages(cfg, args.jobs, only=args.command)
         return 0
     except PipelineError as exc:
         print(f"spkdbn: {exc}", file=sys.stderr)

@@ -55,7 +55,6 @@ class FineTuneConfig:
     epochs: int
     momentum: float = 0.9
     weight_decay: float = 0.0012
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0:

@@ -145,12 +145,6 @@ class Dataset:
                 groups.setdefault(e.speaker_id, []).append(e)
         return groups
 
-    def vector_of(self, utterance_id: str) -> np.ndarray:
-        for e in self.embeddings:
-            if e.utterance_id == utterance_id:
-                return e.values
-        raise KeyError(utterance_id)
-
 
 @dataclass(frozen=True)
 class SynthConfig:

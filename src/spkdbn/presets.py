@@ -1,24 +1,12 @@
 """Published hyperparameter presets per task and network depth.
 
 Preset names follow `<task>-<depth>L` (single-1L ... multi-3L).  Values
-resolve into ExperimentConfig defaults; explicit config keys and CLI
+resolve into ExperimentConfig defaults; keys a preset leaves out keep the
+ExperimentConfig field defaults, and explicit config keys and CLI
 overrides always win.
 """
 
 from __future__ import annotations
-
-# RBM pre-training, shared by all presets
-RBM_DEFAULTS = {
-    "grbm_lr": 0.014,
-    "grbm_epochs": 200,
-    "bb_lr": 0.06,
-    "bb_epochs": 120,
-    "rbm_momentum": 0.9,
-    "rbm_weight_decay": 0.0002,
-    "rbm_minibatch": 100,
-    "hidden_size": 512,
-    "impostor_n": 10,
-}
 
 # (task, depth) -> overrides
 PRESETS = {
@@ -84,16 +72,8 @@ PRESETS = {
     },
 }
 
-FT_DEFAULTS = {
-    "ft_momentum": 0.9,
-    "ft_weight_decay": 0.0012,
-}
-
 
 def preset_defaults(task: str, depth: int) -> dict:
     if (task, depth) not in PRESETS:
         raise ValueError(f"no preset for task={task!r} depth={depth}")
-    out = dict(RBM_DEFAULTS)
-    out.update(FT_DEFAULTS)
-    out.update(PRESETS[(task, depth)])
-    return out
+    return dict(PRESETS[(task, depth)])

@@ -5,11 +5,9 @@ from oracles import select_impostors_oracle
 from spkdbn.balance import (
     ImpostorSelectionConfig,
     build_minibatch_plan,
-    combine_targets,
     cosine_score,
     impostor_frequencies,
     kmeans_cosine,
-    replicate_targets,
     select_impostors,
 )
 
@@ -106,30 +104,6 @@ def test_kmeans_validation():
         kmeans_cosine(np.zeros((0, 2)), 1, seed=0)
     with pytest.raises(ValueError):
         kmeans_cosine(np.ones((3, 2)), 4, seed=0)
-
-
-def test_replicate_targets():
-    v = np.array([1.0, 2.0])
-    assert len(replicate_targets(v, 1)) == 1
-    copies = replicate_targets(v, 12)
-    assert len(copies) == 12
-    assert all(np.array_equal(c, v) for c in copies)
-
-
-def test_combine_targets():
-    rng = np.random.default_rng(5)
-    vs = [rng.normal(size=3) for _ in range(8)]
-    assert all(np.array_equal(a, b) for a, b in zip(combine_targets(vs, 1), vs))
-    pairs = combine_targets(vs, 2)
-    assert len(pairs) == 4
-    for i, p in enumerate(pairs):
-        np.testing.assert_allclose(p, (vs[2 * i] + vs[2 * i + 1]) / 2.0, atol=1e-12)
-    quads = combine_targets(vs, 4)
-    naive = [sum(vs[0:4]) / 4.0, sum(vs[4:8]) / 4.0]
-    for got, want in zip(quads, naive):
-        np.testing.assert_allclose(got, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        combine_targets([], 1)
 
 
 def test_plan_single_mode_published_shape():

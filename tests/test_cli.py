@@ -14,12 +14,25 @@ from spkdbn.cli import (
     resolve_config,
     run_pipeline,
 )
-from spkdbn.evaluation import load_scores
+from spkdbn.embeddings import Dataset, Embedding, load_embeddings, save_embeddings
+
+STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
+                  "score", "score-baseline", "fuse", "evaluate")
 
 
 def _file_hash(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _tree_hashes(root):
+    """{path relative to root: content hash} for every file under root."""
+    return {str(p.relative_to(root)): _file_hash(p) for p in root.rglob("*") if p.is_file()}
+
+
+def _write_config(path, pairs):
+    path.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()))
+    return str(path)
 
 
 def test_config_file_overrides_and_presets(tmp_path):
@@ -36,6 +49,10 @@ def test_config_file_overrides_and_presets(tmp_path):
     assert multi.adapt_layers == 1
     assert multi.adapt_epochs == (25,)
     assert multi.ft_lr == 0.08
+    # keys no preset sets keep the ExperimentConfig field defaults
+    assert multi.grbm_lr == 0.014
+    assert multi.hidden_size == 512
+    assert multi.ft_weight_decay == 0.0012
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
@@ -112,33 +129,76 @@ def test_resume_with_different_config_is_rejected(tmp_path):
         run_pipeline(changed)
 
 
+def test_resume_after_an_input_changed_is_rejected(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp")
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 0
+    out = tmp_path / "exp" / "out"
+    before = _tree_hashes(out)
+    test = load_embeddings(pairs["test"])
+    save_embeddings(Dataset.from_embeddings(
+        [Embedding(e.utterance_id, e.speaker_id, -e.values) for e in test.embeddings]
+    ), pairs["test"])
+    capsys.readouterr()
+    assert main(["run", "--config", cfg_file]) == 1
+    assert "an input file changed" in capsys.readouterr().err
+    assert _tree_hashes(out) == before
+
+
 def test_cli_gen_synth_and_subcommands(tmp_path, capsys):
     out = tmp_path / "bg.txt"
     rc = main(["gen-synth", "--speakers", "3", "--sessions", "2", "--dim", "5",
                "--seed", "1", "--unlabeled", "--out", str(out)])
     assert rc == 0
-    from spkdbn.embeddings import load_embeddings
     ds = load_embeddings(out)
     assert len(ds) == 6
     assert all(e.speaker_id is None for e in ds.embeddings)
 
 
 def test_cli_run_and_stagewise_equivalence(tmp_path, capsys):
-    pairs = make_experiment(tmp_path / "whole")
-    cfg_file = tmp_path / "whole.cfg"
-    cfg_file.write_text("".join(f"{k}={v}\n" for k, v in pairs.items()))
-    assert main(["run", "--config", str(cfg_file)]) == 0
+    pairs = make_experiment(tmp_path / "exp")
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    out = tmp_path / "exp" / "out"
+    assert main(["run", "--config", cfg_file]) == 0
     assert "dnn: eer=" in capsys.readouterr().out
+    os.rename(out, tmp_path / "whole")
 
-    pairs2 = make_experiment(tmp_path / "staged")
-    cfg_file2 = tmp_path / "staged.cfg"
-    cfg_file2.write_text("".join(f"{k}={v}\n" for k, v in pairs2.items()))
-    for cmd in ("train-udbn", "select-impostors", "cluster", "train-speakers",
-                "score", "score-baseline", "fuse", "evaluate"):
-        assert main([cmd, "--config", str(cfg_file2)]) == 0
-    a = load_scores(tmp_path / "whole" / "out" / "scores_fused.txt")
-    b = load_scores(tmp_path / "staged" / "out" / "scores_fused.txt")
-    assert a == b
+    for cmd in STAGE_COMMANDS:
+        assert main([cmd, "--config", cfg_file]) == 0
+    whole = _tree_hashes(tmp_path / "whole")
+    assert "models/spk0000.dnn.hash" in whole
+    assert _tree_hashes(out) == whole
+
+
+def test_cli_stage_writes_only_its_own_artifacts(tmp_path):
+    pairs = make_experiment(tmp_path / "exp")
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["train-udbn", "--config", cfg_file]) == 0
+    assert sorted(os.listdir(tmp_path / "exp" / "out")) == [
+        "udbn.dbn", "udbn.dbn.hash", "udbn_norm.dbn", "udbn_norm.dbn.hash"]
+
+
+def test_cli_stage_before_its_inputs_fails(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp")
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["cluster", "--config", cfg_file]) == 1
+    assert "stage cluster" in capsys.readouterr().err
+
+
+def test_cli_train_speakers_names_the_speaker_with_bad_enrollment(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp")
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    enroll = load_embeddings(pairs["enroll"]).embeddings
+    second = [Embedding(e.utterance_id + "b", e.speaker_id, e.values + 0.01)
+              for e in enroll if e.speaker_id == "spk0005"]
+    save_embeddings(Dataset.from_embeddings(enroll + tuple(second)), pairs["enroll"])
+    for cmd in STAGE_COMMANDS[:3]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    capsys.readouterr()
+    assert main(["train-speakers", "--config", cfg_file]) == 1
+    err = capsys.readouterr().err
+    assert "speaker spk0005" in err
+    assert "exactly 1 enrollment vector" in err
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
