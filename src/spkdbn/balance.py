@@ -3,9 +3,10 @@
 Impostor selection keeps the background vectors that score among the
 top-N cosine neighbors of the most enrolled speakers; the survivors are
 clustered with cosine k-means and the centroids become the negative
-samples.  The centroids are split into equal groups, one per minibatch.
-In single mode the one target vector is tiled to the group size; in
-multi mode the speaker's session count must equal the group size.
+samples.  The centroids are split into equal groups, one per minibatch,
+and each minibatch's target block cycles through the speaker's sessions
+to the group size, so any session count from 1 up to the plan's total
+number of target slots trains.
 """
 
 from __future__ import annotations
@@ -169,9 +170,11 @@ def build_minibatch_plan(target_vectors, centroids, num_minibatches: int, mode: 
     """Partition impostor centroids into balanced minibatches.
 
     Centroids are split into disjoint consecutive groups of equal size.
-    In single mode the one target vector is replicated to the group
-    size in every minibatch; in multi mode every minibatch carries the
-    full target set, whose size must equal the group size.
+    Each minibatch's target block has the group size too: minibatch k
+    takes rows (k*group + i) % n, i < group, of the speaker's n stacked
+    targets.  So one target (single mode) is replicated, n == group
+    targets fill every block in order, and any other n cycles through the
+    sessions, each of which appears at least once.
     """
     if mode not in ("single", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -179,6 +182,8 @@ def build_minibatch_plan(target_vectors, centroids, num_minibatches: int, mode: 
     targets = [np.asarray(v, dtype=float) for v in target_vectors]
     if not targets:
         raise ValueError("no target vectors")
+    if mode == "single" and len(targets) != 1:
+        raise ValueError("single mode takes exactly one target vector")
     if num_minibatches < 1:
         raise ValueError("num_minibatches must be >= 1")
     if C.shape[0] % num_minibatches != 0:
@@ -186,18 +191,14 @@ def build_minibatch_plan(target_vectors, centroids, num_minibatches: int, mode: 
             f"{C.shape[0]} centroids not divisible into {num_minibatches} minibatches"
         )
     group = C.shape[0] // num_minibatches
-    if mode == "single":
-        if len(targets) != 1:
-            raise ValueError("single mode takes exactly one target vector")
-        target_block = np.tile(targets[0], (group, 1))
-    else:
-        if len(targets) != group:
-            raise ValueError(
-                f"multi mode needs impostor group size {group} == target count {len(targets)}"
-            )
-        target_block = np.stack(targets)
+    T, n = np.stack(targets), len(targets)
+    if n > group * num_minibatches:
+        raise ValueError(
+            f"{n} target vectors exceed the {group * num_minibatches} target slots "
+            f"of {num_minibatches} minibatches"
+        )
     minibatches = tuple(
-        Minibatch(target_block.copy(), C[i * group : (i + 1) * group].copy())
-        for i in range(num_minibatches)
+        Minibatch(T[(k * group + np.arange(group)) % n], C[k * group : (k + 1) * group].copy())
+        for k in range(num_minibatches)
     )
     return MinibatchPlan(minibatches)

@@ -29,7 +29,6 @@ import numpy as np
 from . import balance, dnn, evaluation, udbn
 from .embeddings import (
     Dataset,
-    Embedding,
     SynthConfig,
     average_embeddings,
     fit_whitener,
@@ -257,7 +256,7 @@ def _speaker_groups(enroll: Dataset) -> dict[str, np.ndarray]:
     groups = enroll.by_speaker()
     if not groups:
         raise ValueError("enrollment data has no speaker labels")
-    return {spk: np.stack([e.values for e in embs]) for spk, embs in sorted(groups.items())}
+    return groups
 
 
 def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
@@ -280,7 +279,7 @@ def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
 
 def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths) -> None:
     background = load_embeddings(cfg.background)
-    model = udbn.train_udbn(background, [cfg.hidden_size] * cfg.depth, _rbm_configs(cfg))
+    model = udbn.train_udbn(background.vectors, [cfg.hidden_size] * cfg.depth, _rbm_configs(cfg))
     udbn.save_dbn(model, paths.udbn)
     udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)
 
@@ -289,29 +288,23 @@ def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths) -> None:
     background = load_embeddings(cfg.background)
     enroll = load_embeddings(cfg.enroll)
     targets = [average_embeddings(vs) for vs in _speaker_groups(enroll).values()]
-    impostors = background.matrix()
-    freqs = balance.impostor_frequencies(targets, impostors, cfg.impostor_n)
+    freqs = balance.impostor_frequencies(targets, background.vectors, cfg.impostor_n)
     selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(background)))
-    ids = background.utterance_ids()
     with open(paths.selected, "w") as fh:
         for idx in selected:
-            fh.write(f"{ids[idx]} {freqs[idx]}\n")
+            fh.write(f"{background.ids[idx]} {freqs[idx]}\n")
 
 
 def stage_cluster(cfg: ExperimentConfig, paths: _Paths) -> None:
     background = load_embeddings(cfg.background)
     with open(paths.selected) as fh:
         ids = [ln.split()[0] for ln in fh if ln.strip()]
-    by_id = {e.utterance_id: e.values for e in background.embeddings}
-    vectors = np.stack([by_id[i] for i in ids])
     centroids = balance.kmeans_cosine(
-        vectors, cfg.num_centroids, seed=derive_seed(cfg.master_seed, "kmeans"),
+        background.rows(ids), cfg.num_centroids, seed=derive_seed(cfg.master_seed, "kmeans"),
         max_iter=cfg.kmeans_max_iter,
     )
-    ds = Dataset.from_embeddings(
-        [Embedding(f"centroid_{j}", None, c) for j, c in enumerate(centroids)]
-    )
-    save_embeddings(ds, paths.centroids)
+    ids = tuple(f"centroid_{j}" for j in range(len(centroids)))
+    save_embeddings(Dataset(ids, (None,) * len(ids), centroids), paths.centroids)
 
 
 def _build_plan(cfg: ExperimentConfig, targets: np.ndarray, centroids: np.ndarray):
@@ -360,7 +353,7 @@ def _train_one_speaker(args) -> str:
 
 def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, jobs: int = 1) -> None:
     enroll = load_embeddings(cfg.enroll)
-    centroids = load_embeddings(paths.centroids).matrix()
+    centroids = load_embeddings(paths.centroids).vectors
     groups = _speaker_groups(enroll)
     os.makedirs(paths.models_dir, exist_ok=True)
     tasks = [
@@ -378,19 +371,27 @@ def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, jobs: int = 1) ->
             fh.write(f"{spk}\n")
 
 
+def _trials_by_model(trials, enrolled) -> dict[str, list[str]]:
+    """{model id: test utterance ids of its trials}, in trial order; a
+    trial whose model is not among `enrolled` is an error."""
+    by_model: dict[str, list[str]] = {}
+    for t in trials:
+        if t.model_id not in enrolled:
+            raise ValueError(f"trial model {t.model_id!r} is not an enrolled speaker")
+        by_model.setdefault(t.model_id, []).append(t.test_utterance_id)
+    return by_model
+
+
 def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths) -> None:
     test = load_embeddings(cfg.test)
     trials = evaluation.load_trials(cfg.trials)
-    by_id = {e.utterance_id: e.values for e in test.embeddings}
-    by_model: dict[str, list[str]] = {}
-    for t in trials:
-        by_model.setdefault(t.model_id, []).append(t.test_utterance_id)
+    with open(paths.models_list) as fh:
+        by_model = _trials_by_model(trials, set(fh.read().split()))
     scores = {}
     for model_id in sorted(by_model):
         model = dnn.load_dnn(paths.model(model_id))
         test_ids = by_model[model_id]
-        X = np.stack([by_id[i] for i in test_ids])
-        llrs = dnn.score_llr_batch(model, X)
+        llrs = dnn.score_llr_batch(model, test.rows(test_ids))
         for test_id, llr in zip(test_ids, llrs):
             scores[(model_id, test_id)] = float(llr)
     evaluation.save_scores(scores, paths.scores_dnn)
@@ -401,15 +402,13 @@ def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths) -> None:
     enroll = load_embeddings(cfg.enroll)
     test = load_embeddings(cfg.test)
     trials = evaluation.load_trials(cfg.trials)
-    whitener = fit_whitener(background)
+    whitener = fit_whitener(background.vectors)
     save_whitener(whitener, paths.whitener)
     groups = _speaker_groups(enroll)
-    by_id = {e.utterance_id: e.values for e in test.embeddings}
     scores = {}
-    for t in trials:
-        scores[(t.model_id, t.test_utterance_id)] = evaluation.score_baseline(
-            groups[t.model_id], by_id[t.test_utterance_id], whitener
-        )
+    for model_id, test_ids in _trials_by_model(trials, groups).items():
+        for test_id, x in zip(test_ids, test.rows(test_ids)):
+            scores[(model_id, test_id)] = evaluation.score_baseline(groups[model_id], x, whitener)
     evaluation.save_scores(scores, paths.scores_baseline)
 
 
@@ -436,7 +435,7 @@ _SYSTEMS = ("dnn", "baseline", "fused")
 
 def _speaker_artifacts(cfg: ExperimentConfig, paths: _Paths) -> list[str]:
     """One model per enrolled speaker, then the model list; parses enroll."""
-    speakers = sorted(_speaker_groups(load_embeddings(cfg.enroll)))
+    speakers = list(_speaker_groups(load_embeddings(cfg.enroll)))
     return [paths.model(spk) for spk in speakers] + [paths.models_list]
 
 
@@ -534,9 +533,7 @@ def main(argv=None) -> int:
                             args.between_spread, args.within_spread, args.seed)
             )
             if args.unlabeled:
-                ds = Dataset.from_embeddings(
-                    [Embedding(e.utterance_id, None, e.values) for e in ds.embeddings]
-                )
+                ds = Dataset(ds.ids, (None,) * len(ds), ds.vectors)
             save_embeddings(ds, args.out)
             return 0
 

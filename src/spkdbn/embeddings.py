@@ -1,8 +1,12 @@
-"""Utterance embedding containers, text I/O, the float64 `.npz` store for
-model and whitener files, synthetic data and whitening.
+"""Utterance embedding sets, text I/O, the float64 `.npz` store for model
+and whitener files, synthetic data and whitening.
 
 Embeddings are fixed-dimension real vectors with an utterance id and an
-optional speaker label.  The text format is one record per line:
+optional speaker label.  A `Dataset` holds a set of them as columns: one
+(n, d) float64 matrix `vectors`, whose row i belongs to utterance `ids[i]`
+of speaker `speakers[i]`.  `rows(ids)` and `by_speaker()` index it, so
+callers never rebuild the matrix or an id map.  The text format is one
+record per line:
 
     <utterance_id> <speaker_id|-> <v_1> ... <v_d>
 
@@ -16,7 +20,7 @@ import re
 import zipfile
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # 17 significant digits round-trip any IEEE double through text exactly.
 FLOAT_FMT = "%.17g"
@@ -80,70 +84,62 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """One utterance's embedding vector."""
-
-    utterance_id: str
-    speaker_id: str | None
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("embedding values must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"non-finite value in embedding {self.utterance_id!r}")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered collection of embeddings sharing one dimension."""
+    """An embedding set held as three columns: row i of the (n, d) float64
+    matrix `vectors` is utterance `ids[i]` of speaker `speakers[i]` (None
+    for unlabeled background data)."""
 
-    embeddings: tuple[Embedding, ...]
-    dimension: int
+    ids: tuple[str, ...]
+    speakers: tuple[str | None, ...]
+    vectors: np.ndarray
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        embs = tuple(self.embeddings)
-        seen = set()
-        for e in embs:
-            if e.values.size != self.dimension:
-                raise ValueError(
-                    f"embedding {e.utterance_id!r} has dimension {e.values.size}, "
-                    f"expected {self.dimension}"
-                )
-            if e.utterance_id in seen:
-                raise ValueError(f"duplicate utterance_id {e.utterance_id!r}")
-            seen.add(e.utterance_id)
-        object.__setattr__(self, "embeddings", embs)
-
-    @classmethod
-    def from_embeddings(cls, embeddings) -> "Dataset":
-        embs = list(embeddings)
-        if not embs:
-            raise ValueError("cannot infer dimension of an empty dataset")
-        return cls(tuple(embs), embs[0].values.size)
+        vectors = np.asarray(self.vectors, dtype=np.float64)
+        if vectors.ndim != 2 or vectors.shape[1] < 1:
+            raise ValueError(
+                f"vectors must be an (n, d) matrix with d >= 1, got shape {vectors.shape}"
+            )
+        ids, speakers = tuple(self.ids), tuple(self.speakers)
+        if not len(ids) == len(speakers) == vectors.shape[0]:
+            raise ValueError(
+                f"column lengths differ: {len(ids)} ids, {len(speakers)} speakers, "
+                f"{vectors.shape[0]} vectors"
+            )
+        index = {utt: i for i, utt in enumerate(ids)}
+        if len(index) != len(ids):
+            dup = next(utt for i, utt in enumerate(ids) if index[utt] != i)
+            raise ValueError(f"duplicate utterance_id {dup!r}")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite value in embedding {ids[int(np.argmin(finite))]!r}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "speakers", speakers)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
-        return len(self.embeddings)
+        return len(self.ids)
 
-    def matrix(self) -> np.ndarray:
-        """Row-stacked (n, d) view of all embedding vectors."""
-        if not self.embeddings:
-            return np.zeros((0, self.dimension))
-        return np.stack([e.values for e in self.embeddings])
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
 
-    def utterance_ids(self) -> list[str]:
-        return [e.utterance_id for e in self.embeddings]
+    def rows(self, ids) -> np.ndarray:
+        """The (len(ids), d) vectors of the given utterance ids, in that order."""
+        try:
+            return self.vectors[[self._index[utt] for utt in ids]]
+        except KeyError as exc:
+            raise ValueError(f"unknown utterance id {exc.args[0]!r}") from None
 
-    def by_speaker(self) -> dict[str, list[Embedding]]:
-        """Labeled embeddings grouped by speaker, insertion-ordered."""
-        groups: dict[str, list[Embedding]] = {}
-        for e in self.embeddings:
-            if e.speaker_id is not None:
-                groups.setdefault(e.speaker_id, []).append(e)
-        return groups
+    def by_speaker(self) -> dict[str, np.ndarray]:
+        """{speaker: (sessions, d) matrix} of the labeled rows, speakers sorted."""
+        groups: dict[str, list[int]] = {}
+        for i, spk in enumerate(self.speakers):
+            if spk is not None:
+                groups.setdefault(spk, []).append(i)
+        return {spk: self.vectors[groups[spk]] for spk in sorted(groups)}
 
 
 @dataclass(frozen=True)
@@ -167,11 +163,14 @@ class SynthConfig:
 def load_embeddings(path) -> Dataset:
     """Parse an embedding text file into a Dataset.
 
-    The dimension is inferred from the first record; a malformed row,
-    inconsistent dimension or duplicate utterance id raises ParseError
-    naming the line number.
+    The dimension is inferred from the first record; a malformed row, bad
+    float, inconsistent dimension, non-finite value or duplicate utterance
+    id raises ParseError naming the line number.  A file with only the
+    `# embeddings d=<d>` header, d >= 1, loads as an empty set of dimension d.
     """
-    embeddings: list[Embedding] = []
+    ids: list[str] = []
+    speakers: list[str | None] = []
+    rows: list[np.ndarray] = []
     dim = None
     header_dim = None
     seen: set[str] = set()
@@ -199,27 +198,26 @@ def load_embeddings(path) -> Dataset:
                 )
             if utt in seen:
                 raise ParseError(f"{path}:{lineno}: duplicate utterance_id {utt!r}")
+            if not np.isfinite(values).all():
+                raise ParseError(f"{path}:{lineno}: non-finite value in embedding {utt!r}")
             seen.add(utt)
-            try:
-                emb = Embedding(utt, None if spk == "-" else spk, values)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            embeddings.append(emb)
+            ids.append(utt)
+            speakers.append(None if spk == "-" else spk)
+            rows.append(values)
     if dim is None:
-        if header_dim is not None:
-            return Dataset((), header_dim)
+        if header_dim:
+            return Dataset((), (), np.zeros((0, header_dim)))
         raise ParseError(f"{path}: no embedding records found")
-    return Dataset(tuple(embeddings), dim)
+    return Dataset(tuple(ids), tuple(speakers), np.stack(rows))
 
 
 def save_embeddings(dataset: Dataset, path) -> None:
     """Write a Dataset in the embedding text format (lossless floats)."""
     with open(path, "w") as fh:
         fh.write(f"# embeddings d={dataset.dimension} n={len(dataset)}\n")
-        for e in dataset.embeddings:
-            spk = e.speaker_id if e.speaker_id is not None else "-"
-            vals = " ".join(_fmt(x) for x in e.values)
-            fh.write(f"{e.utterance_id} {spk} {vals}\n")
+        for utt, spk, v in zip(dataset.ids, dataset.speakers, dataset.vectors):
+            vals = " ".join(_fmt(x) for x in v)
+            fh.write(f"{utt} {spk if spk is not None else '-'} {vals}\n")
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -233,7 +231,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     means = rng.normal(
         0.0, config.between_speaker_spread, size=(config.num_speakers, config.dimension)
     )
-    embeddings = []
+    ids, speakers, rows = [], [], []
     for s in range(config.num_speakers):
         spk = f"spk{s:04d}"
         offsets = rng.normal(
@@ -242,10 +240,10 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
             size=(config.sessions_per_speaker, config.dimension),
         )
         for k in range(config.sessions_per_speaker):
-            embeddings.append(
-                Embedding(f"{spk}_sess{k:03d}", spk, means[s] + offsets[k])
-            )
-    return Dataset(tuple(embeddings), config.dimension)
+            ids.append(f"{spk}_sess{k:03d}")
+            speakers.append(spk)
+        rows.append(means[s] + offsets)
+    return Dataset(tuple(ids), tuple(speakers), np.vstack(rows))
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
@@ -274,14 +272,14 @@ class Whitener:
     transform: np.ndarray
 
 
-def fit_whitener(background: Dataset) -> Whitener:
-    """Fit a whitening transform on a background dataset.
+def fit_whitener(background: np.ndarray) -> Whitener:
+    """Fit a whitening transform on an (n, d) matrix of background vectors.
 
     Uses the inverse Cholesky factor of the regularized sample covariance
     (cov + eps*I with eps = 1e-6 * trace/d), so the covariance of the
     whitened fitting set is the identity up to the regularization.
     """
-    X = background.matrix()
+    X = np.asarray(background, dtype=np.float64)
     n, d = X.shape
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} vectors to fit a whitener, got {n}")

@@ -14,8 +14,6 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.special import expit
 
-from .embeddings import Dataset
-
 VISIBLE_KINDS = ("gaussian", "bernoulli")
 
 
@@ -163,12 +161,6 @@ def cd1_step(
     return float(((v - v_rec) ** 2).sum(axis=1).mean())
 
 
-def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, Dataset):
-        return data.matrix()
-    return np.atleast_2d(np.asarray(data, dtype=float))
-
-
 def train_rbm(data, cfg: RbmTrainConfig, kind: str, n_hidden: int):
     """Train one RBM with CD-1 over fixed-order minibatches.
 
@@ -176,7 +168,7 @@ def train_rbm(data, cfg: RbmTrainConfig, kind: str, n_hidden: int):
     reconstruction error of epoch e.  Fully deterministic given
     (data order, cfg).
     """
-    X = _as_matrix(data)
+    X = np.atleast_2d(np.asarray(data, dtype=float))
     n, d = X.shape
     if n == 0:
         raise ValueError("empty training data")

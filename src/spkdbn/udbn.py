@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .embeddings import Dataset, load_arrays, save_arrays
+from .embeddings import load_arrays, save_arrays
 from .rbm import RbmParams, RbmTrainConfig, RbmVelocity, cd1_step, hidden_probs, train_rbm
 
 
@@ -71,7 +71,8 @@ class AdaptConfig:
 
 
 def train_udbn(background, hidden_sizes, cfgs) -> DbnParams:
-    """Greedy layer-wise unsupervised training on background embeddings.
+    """Greedy layer-wise unsupervised training on an (n, d) matrix of
+    background embeddings.
 
     Layer 1 is a Gaussian-Bernoulli RBM on the raw vectors; each further
     layer is a Bernoulli RBM trained on the hidden-probability outputs of
@@ -83,7 +84,7 @@ def train_udbn(background, hidden_sizes, cfgs) -> DbnParams:
     cfgs = list(cfgs)
     if len(cfgs) != len(hidden_sizes):
         raise ValueError("need one RbmTrainConfig per layer")
-    X = background.matrix() if isinstance(background, Dataset) else np.atleast_2d(np.asarray(background, float))
+    X = np.atleast_2d(np.asarray(background, float))
     layers = []
     for k, (n_hid, cfg) in enumerate(zip(hidden_sizes, cfgs)):
         kind = "gaussian" if k == 0 else "bernoulli"

@@ -3,13 +3,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spkdbn.embeddings import Dataset, Embedding, SynthConfig, generate_synthetic, save_embeddings
+from spkdbn.embeddings import Dataset, SynthConfig, generate_synthetic, save_embeddings
 
 
 def unlabel(dataset: Dataset) -> Dataset:
-    return Dataset.from_embeddings(
-        [Embedding(e.utterance_id, None, e.values) for e in dataset.embeddings]
-    )
+    return Dataset(dataset.ids, (None,) * len(dataset), dataset.vectors)
+
+
+def subset(dataset: Dataset, keep) -> Dataset:
+    """The rows of dataset whose utterance id satisfies keep, in order."""
+    rows = [i for i, utt in enumerate(dataset.ids) if keep(utt)]
+    return Dataset(tuple(dataset.ids[i] for i in rows),
+                   tuple(dataset.speakers[i] for i in rows), dataset.vectors[rows])
 
 
 def make_experiment(root: Path, data_seed: int = 0, master_seed: int = 7,
@@ -24,18 +29,16 @@ def make_experiment(root: Path, data_seed: int = 0, master_seed: int = 7,
 
     # 1 enrollment + 2 test sessions per speaker
     full = generate_synthetic(SynthConfig(num_speakers, 3, dim, 1.0, spread_ratio, seed=data_seed))
-    enroll = [e for e in full.embeddings if e.utterance_id.endswith("sess000")]
-    test = [e for e in full.embeddings if not e.utterance_id.endswith("sess000")]
-    save_embeddings(Dataset.from_embeddings(enroll), root / "enroll.txt")
-    save_embeddings(Dataset.from_embeddings(unlabel(Dataset.from_embeddings(test)).embeddings),
-                    root / "test.txt")
+    enroll = subset(full, lambda utt: utt.endswith("sess000"))
+    test = subset(full, lambda utt: not utt.endswith("sess000"))
+    save_embeddings(enroll, root / "enroll.txt")
+    save_embeddings(unlabel(test), root / "test.txt")
 
-    speakers = sorted({e.speaker_id for e in enroll})
     with open(root / "trials.txt", "w") as fh:
-        for spk in speakers:
-            for e in test:
-                key = "target" if e.speaker_id == spk else "nontarget"
-                fh.write(f"{spk} {e.utterance_id} {key}\n")
+        for spk in sorted(set(enroll.speakers)):
+            for utt, test_spk in zip(test.ids, test.speakers):
+                key = "target" if test_spk == spk else "nontarget"
+                fh.write(f"{spk} {utt} {key}\n")
 
     return {
         "background": str(root / "background.txt"),

@@ -142,8 +142,35 @@ def test_plan_minimal_and_errors():
         build_minibatch_plan([np.ones(2)], np.ones((5, 2)), 3, "single")  # divisibility
     with pytest.raises(ValueError):
         build_minibatch_plan([], np.ones((3, 2)), 3, "single")
-    with pytest.raises(ValueError):
-        build_minibatch_plan([np.ones(2)] * 3, np.ones((12, 2)), 3, "multi")  # group != T
+    with pytest.raises(ValueError, match="exactly one target"):
+        build_minibatch_plan([np.ones(2)] * 2, np.ones((12, 2)), 3, "single")
+    with pytest.raises(ValueError, match="13 target vectors exceed the 12 target slots"):
+        build_minibatch_plan([np.ones(2)] * 13, np.ones((12, 2)), 3, "multi")
+
+
+def test_plan_multi_mode_fewer_sessions_than_group():
+    # 7 sessions, 24 centroids, 3 minibatches of 8 + 8: sessions cycle
+    rng = np.random.default_rng(8)
+    targets = rng.normal(size=(7, 3))
+    centroids = rng.normal(size=(24, 3))
+    plan = build_minibatch_plan(list(targets), centroids, 3, "multi")
+    assert len(plan.minibatches) == 3
+    used = []
+    for k, mb in enumerate(plan.minibatches):
+        assert mb.targets.shape == (8, 3)
+        assert mb.impostors.shape == (8, 3)
+        np.testing.assert_array_equal(mb.targets, targets[(k * 8 + np.arange(8)) % 7])
+        used.extend(map(tuple, mb.targets))
+    assert set(used) == set(map(tuple, targets))  # every session appears
+    np.testing.assert_array_equal(np.vstack([mb.impostors for mb in plan.minibatches]), centroids)
+
+
+def test_plan_multi_mode_more_sessions_than_group():
+    # 10 sessions, 3 minibatches of 4 target slots: each session at least once
+    targets = np.arange(20.0).reshape(10, 2)
+    plan = build_minibatch_plan(list(targets), np.ones((12, 2)), 3, "multi")
+    stacked = np.vstack([mb.targets for mb in plan.minibatches])
+    np.testing.assert_array_equal(stacked, targets[np.arange(12) % 10])
 
 
 def test_plan_labels():

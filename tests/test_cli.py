@@ -1,9 +1,10 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
-from conftest import make_experiment
+from conftest import make_experiment, subset
 from spkdbn.cli import (
     ExperimentConfig,
     PipelineError,
@@ -14,7 +15,13 @@ from spkdbn.cli import (
     resolve_config,
     run_pipeline,
 )
-from spkdbn.embeddings import Dataset, Embedding, load_embeddings, save_embeddings
+from spkdbn.embeddings import (
+    Dataset,
+    SynthConfig,
+    generate_synthetic,
+    load_embeddings,
+    save_embeddings,
+)
 
 STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
                   "score", "score-baseline", "fuse", "evaluate")
@@ -136,9 +143,7 @@ def test_resume_after_an_input_changed_is_rejected(tmp_path, capsys):
     out = tmp_path / "exp" / "out"
     before = _tree_hashes(out)
     test = load_embeddings(pairs["test"])
-    save_embeddings(Dataset.from_embeddings(
-        [Embedding(e.utterance_id, e.speaker_id, -e.values) for e in test.embeddings]
-    ), pairs["test"])
+    save_embeddings(Dataset(test.ids, test.speakers, -test.vectors), pairs["test"])
     capsys.readouterr()
     assert main(["run", "--config", cfg_file]) == 1
     assert "an input file changed" in capsys.readouterr().err
@@ -152,7 +157,7 @@ def test_cli_gen_synth_and_subcommands(tmp_path, capsys):
     assert rc == 0
     ds = load_embeddings(out)
     assert len(ds) == 6
-    assert all(e.speaker_id is None for e in ds.embeddings)
+    assert ds.speakers == (None,) * 6
 
 
 def test_cli_run_and_stagewise_equivalence(tmp_path, capsys):
@@ -188,10 +193,10 @@ def test_cli_stage_before_its_inputs_fails(tmp_path, capsys):
 def test_cli_train_speakers_names_the_speaker_with_bad_enrollment(tmp_path, capsys):
     pairs = make_experiment(tmp_path / "exp")
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    enroll = load_embeddings(pairs["enroll"]).embeddings
-    second = [Embedding(e.utterance_id + "b", e.speaker_id, e.values + 0.01)
-              for e in enroll if e.speaker_id == "spk0005"]
-    save_embeddings(Dataset.from_embeddings(enroll + tuple(second)), pairs["enroll"])
+    enroll = load_embeddings(pairs["enroll"])
+    second = enroll.by_speaker()["spk0005"] + 0.01
+    save_embeddings(Dataset(enroll.ids + ("spk0005_sess000b",), enroll.speakers + ("spk0005",),
+                            np.vstack([enroll.vectors, second])), pairs["enroll"])
     for cmd in STAGE_COMMANDS[:3]:
         assert main([cmd, "--config", cfg_file]) == 0
     capsys.readouterr()
@@ -221,3 +226,31 @@ def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["score", "--config", str(cfg_file)]) == 1
     assert str(model) in capsys.readouterr().err
+
+
+def test_cli_multi_task_trains_a_speaker_with_fewer_sessions(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=6) | {"task": "multi"}
+    # 8 sessions per speaker (the multi impostor group size), spk0004 has 7
+    sessions = generate_synthetic(SynthConfig(6, 8, 50, 1.0, 0.2, seed=5))
+    save_embeddings(subset(sessions, lambda utt: utt != "spk0004_sess007"), pairs["enroll"])
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    for cmd in STAGE_COMMANDS[:4]:
+        assert main([cmd, "--config", cfg_file]) == 0, cmd
+    out = tmp_path / "exp" / "out"
+    assert (out / "models.txt").read_text().split() == [f"spk{s:04d}" for s in range(6)]
+    assert (out / "models" / "spk0004.dnn").exists()
+
+
+@pytest.mark.parametrize("trial, message", [
+    ("spk0001 nosuchutt nontarget", "unknown utterance id 'nosuchutt'"),
+    ("spk9999 spk0001_sess001 nontarget", "trial model 'spk9999' is not an enrolled speaker"),
+])
+def test_cli_trial_naming_an_unknown_id_is_reported(tmp_path, capsys, trial, message):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    with open(pairs["trials"], "a") as fh:
+        fh.write(trial + "\n")
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 1
+    assert f"stage score: {message}" in capsys.readouterr().err
+    assert main(["score-baseline", "--config", cfg_file]) == 1
+    assert f"stage score-baseline: {message}" in capsys.readouterr().err

@@ -3,7 +3,6 @@ import pytest
 
 from spkdbn.embeddings import (
     Dataset,
-    Embedding,
     ParseError,
     SynthConfig,
     Whitener,
@@ -25,15 +24,16 @@ def test_load_minimal_file(tmp_path):
     ds = load_embeddings(p)
     assert ds.dimension == 2
     assert len(ds) == 1
-    assert ds.embeddings[0].speaker_id == "spkA"
-    np.testing.assert_array_equal(ds.embeddings[0].values, [1.0, 2.0])
+    assert ds.ids == ("u1",)
+    assert ds.speakers == ("spkA",)
+    np.testing.assert_array_equal(ds.vectors, [[1.0, 2.0]])
 
 
 def test_load_unlabeled_and_comments(tmp_path):
     p = tmp_path / "e.txt"
     p.write_text("# comment\nu1 - 0.5 0.5\n\n")
     ds = load_embeddings(p)
-    assert ds.embeddings[0].speaker_id is None
+    assert ds.speakers == (None,)
 
 
 def test_dimension_mismatch_names_line(tmp_path):
@@ -53,49 +53,89 @@ def test_malformed_row_and_duplicate_id(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_field_names_line(tmp_path, field):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"u1 a 1.0 2.0\nu2 a {field} 2.0\n")
+    with pytest.raises(ParseError, match=r":2: non-finite value in embedding 'u2'"):
+        load_embeddings(p)
+
+
+def test_dataset_validates_objects_built_in_code():
+    v = np.ones((2, 3))
+    with pytest.raises(ValueError, match="duplicate utterance_id 'u1'"):
+        Dataset(("u0", "u1", "u1"), (None,) * 3, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="column lengths differ"):
+        Dataset(("u0", "u1"), ("s",), v)
+    with pytest.raises(ValueError, match="column lengths differ"):
+        Dataset(("u0",), ("s",), v)
+    bad = v.copy()
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite value in embedding 'u1'"):
+        Dataset(("u0", "u1"), ("s", "s"), bad)
+    with pytest.raises(ValueError, match=r"\(n, d\) matrix"):
+        Dataset(("u0", "u1", "u2"), (None,) * 3, np.ones(3))
+    with pytest.raises(ValueError, match=r"\(n, d\) matrix"):
+        Dataset((), (), np.zeros((0, 0)))
+
+
+def test_rows_and_by_speaker():
+    vectors = np.arange(10.0).reshape(5, 2)
+    ds = Dataset(("a", "b", "c", "d", "e"), ("s2", None, "s1", "s2", "s1"), vectors)
+    np.testing.assert_array_equal(ds.rows(["d", "a", "d"]), vectors[[3, 0, 3]])
+    assert ds.rows([]).shape == (0, 2)
+    with pytest.raises(ValueError, match="unknown utterance id 'x'"):
+        ds.rows(["a", "x"])
+    groups = ds.by_speaker()
+    assert list(groups) == ["s1", "s2"]
+    np.testing.assert_array_equal(groups["s1"], vectors[[2, 4]])
+    np.testing.assert_array_equal(groups["s2"], vectors[[0, 3]])
+
+
 def test_roundtrip_is_bitwise_identity(tmp_path):
     rng = np.random.default_rng(3)
-    embs = [Embedding(f"u{i}", "s" if i % 2 else None, rng.normal(size=7) * 10.0 ** rng.integers(-8, 8))
-            for i in range(100)]
-    ds = Dataset.from_embeddings(embs)
+    vectors = np.stack([rng.normal(size=7) * 10.0 ** rng.integers(-8, 8) for _ in range(100)])
+    ds = Dataset(tuple(f"u{i}" for i in range(100)),
+                 tuple("s" if i % 2 else None for i in range(100)), vectors)
     p = tmp_path / "rt.txt"
     save_embeddings(ds, p)
     back = load_embeddings(p)
-    assert back.utterance_ids() == ds.utterance_ids()
-    for a, b in zip(ds.embeddings, back.embeddings):
-        assert a.speaker_id == b.speaker_id
-        assert np.array_equal(a.values, b.values)  # exact, 17 significant digits
+    assert back.ids == ds.ids
+    assert back.speakers == ds.speakers
+    assert np.array_equal(back.vectors, ds.vectors)  # exact, 17 significant digits
 
 
 def test_empty_dataset_roundtrip(tmp_path):
-    ds = Dataset((), 4)
+    ds = Dataset((), (), np.zeros((0, 4)))
     p = tmp_path / "empty.txt"
     save_embeddings(ds, p)
     back = load_embeddings(p)
     assert len(back) == 0
     assert back.dimension == 4
+    p.write_text("# embeddings d=0 n=0\n")
+    with pytest.raises(ParseError, match="no embedding records"):
+        load_embeddings(p)
 
 
 def test_synthetic_counts_and_determinism():
     cfg = SynthConfig(2, 3, 4, 1.0, 0.1, seed=7)
     ds = generate_synthetic(cfg)
     assert len(ds) == 6
-    assert len({e.speaker_id for e in ds.embeddings}) == 2
+    assert len(set(ds.speakers)) == 2
     ds2 = generate_synthetic(cfg)
-    assert ds.utterance_ids() == ds2.utterance_ids()
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(ds.embeddings, ds2.embeddings))
+    assert ds.ids == ds2.ids
+    assert np.array_equal(ds.vectors, ds2.vectors)
 
 
 def test_synthetic_within_vs_cross_cosine():
     ds = generate_synthetic(SynthConfig(10, 5, 20, 1.0, 0.05, seed=11))
-    groups = ds.by_speaker()
     def cos(a, b):
         return a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
     within, cross = [], []
-    embs = list(ds.embeddings)
-    for i, a in enumerate(embs):
-        for b in embs[i + 1:]:
-            (within if a.speaker_id == b.speaker_id else cross).append(cos(a.values, b.values))
+    rows = list(zip(ds.speakers, ds.vectors))
+    for i, (spk_a, a) in enumerate(rows):
+        for spk_b, b in rows[i + 1:]:
+            (within if spk_a == spk_b else cross).append(cos(a, b))
     assert np.mean(within) > np.mean(cross)
 
 
@@ -131,18 +171,17 @@ def test_average_embeddings():
         average_embeddings([])
 
 
-def _exactly_white_dataset(n, d, seed):
+def _exactly_white_matrix(n, d, seed):
     """Rows with exactly zero sample mean and identity sample covariance."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, d))
     X = X - X.mean(axis=0)
     L = np.linalg.cholesky(np.cov(X, rowvar=False, ddof=1))
-    X = X @ np.linalg.inv(L).T
-    return Dataset.from_embeddings([Embedding(f"u{i}", None, x) for i, x in enumerate(X)])
+    return X @ np.linalg.inv(L).T
 
 
 def test_whitener_on_exactly_white_data_is_near_identity():
-    ds = _exactly_white_dataset(500, 6, seed=2)
+    ds = _exactly_white_matrix(500, 6, seed=2)
     w = fit_whitener(ds)
     np.testing.assert_allclose(w.mean, np.zeros(6), atol=1e-12)
     # only the 1e-6 covariance regularization separates it from identity
@@ -152,8 +191,7 @@ def test_whitener_on_exactly_white_data_is_near_identity():
 def test_whitened_fitting_set_has_identity_covariance():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(2000, 5)) + rng.normal(size=5)
-    ds = Dataset.from_embeddings([Embedding(f"u{i}", None, x) for i, x in enumerate(X)])
-    w = fit_whitener(ds)
+    w = fit_whitener(X)
     Y = np.stack([apply_whitener(w, x) for x in X])
     cov = np.cov(Y, rowvar=False, ddof=1)
     # the covariance regularization eps = 1e-6*trace/d bounds the residual
@@ -163,16 +201,14 @@ def test_whitened_fitting_set_has_identity_covariance():
 
 def test_whitener_needs_enough_vectors_and_nonsingular_cov():
     v = np.ones(4)
-    small = Dataset.from_embeddings([Embedding(f"u{i}", None, v + i) for i in range(3)])
     with pytest.raises(ValueError):
-        fit_whitener(small)
-    repeated = Dataset.from_embeddings([Embedding(f"u{i}", None, v) for i in range(10)])
+        fit_whitener(np.stack([v + i for i in range(3)]))
     with pytest.raises(ValueError):
-        fit_whitener(repeated)
+        fit_whitener(np.tile(v, (10, 1)))
 
 
 def test_whitener_roundtrip(tmp_path):
-    ds = _exactly_white_dataset(100, 4, seed=9)
+    ds = _exactly_white_matrix(100, 4, seed=9)
     w = fit_whitener(ds)
     p = tmp_path / "w.txt"
     save_whitener(w, p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import eer_oracle, min_dcf_oracle, sweep_oracle
-from spkdbn.embeddings import Dataset, Embedding, fit_whitener
+from spkdbn.embeddings import fit_whitener
 from spkdbn.evaluation import (
     EvalReport,
     Trial,
@@ -138,9 +138,7 @@ def test_fuse_matches_normalization_oracle():
 
 def _whitener(seed=0, d=4, n=200):
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    ds = Dataset.from_embeddings([Embedding(f"u{i}", None, x) for i, x in enumerate(X)])
-    return fit_whitener(ds)
+    return fit_whitener(rng.normal(size=(n, d)))
 
 
 def test_score_baseline_self_similarity_and_scale_invariance():
