@@ -34,7 +34,6 @@ from .embeddings import (
     fit_whitener,
     generate_synthetic,
     load_embeddings,
-    load_whitener,
     save_embeddings,
     save_whitener,
 )

@@ -67,12 +67,26 @@ class FineTuneConfig:
 
 @dataclass
 class DnnVelocity:
+    """Per-layer state that `backprop_minibatch` carries from one step to
+    the next.
+
+    `dW` and `db` are the momentum buffers.  `gW` (the weight gradient),
+    `step` (the update term) and `finite` (the isfinite mask of the
+    updated weights) are work buffers of each layer's weight shape, so
+    that a step allocates no weight-sized array.
+    """
+
     dW: list[np.ndarray]
     db: list[np.ndarray]
+    gW: list[np.ndarray]
+    step: list[np.ndarray]
+    finite: list[np.ndarray]
 
     @classmethod
     def zeros_like(cls, model: DnnModel) -> "DnnVelocity":
-        return cls([np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases])
+        return cls([np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases],
+                   [np.zeros_like(W) for W in model.weights], [np.zeros_like(W) for W in model.weights],
+                   [np.zeros(W.shape, dtype=bool) for W in model.weights])
 
 
 def init_random(layer_sizes, seed: int) -> DnnModel:
@@ -148,7 +162,11 @@ def backprop_minibatch(
     """One momentum SGD step on the mean cross-entropy of a minibatch.
 
     Updates model and velocity in place; weight decay applies to weights
-    only.  Returns the pre-update loss.
+    only.  Returns the pre-update loss.  Each layer's weight update runs
+    in place in `velocity`'s work buffers, so a step allocates no
+    weight-sized array, and it rounds exactly as the expressions
+    dW = momentum * dW - learning_rate * (gW + weight_decay * W),
+    W = W + dW.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -162,23 +180,26 @@ def backprop_minibatch(
 
     layer_inputs = [X] + acts
     delta = (probs - Y) / m
-    grads_W = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_W[i] = layer_inputs[i].T @ delta
+        np.matmul(layer_inputs[i].T, delta, out=velocity.gW[i])
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             a = acts[i - 1]
             delta = (delta @ model.weights[i].T) * a * (1.0 - a)
 
-    for i, (gW, gb) in enumerate(zip(grads_W, grads_b)):
-        velocity.dW[i] = cfg.momentum * velocity.dW[i] - cfg.learning_rate * (
-            gW + cfg.weight_decay * model.weights[i]
-        )
+    for i, gb in enumerate(grads_b):
+        W, dW, step = model.weights[i], velocity.dW[i], velocity.step[i]
+        np.multiply(W, cfg.weight_decay, out=step)
+        step += velocity.gW[i]
+        step *= cfg.learning_rate
+        dW *= cfg.momentum
+        dW -= step
         velocity.db[i] = cfg.momentum * velocity.db[i] - cfg.learning_rate * gb
-        model.weights[i] += velocity.dW[i]
+        W += dW
         model.biases[i] += velocity.db[i]
-        if not (np.all(np.isfinite(model.weights[i])) and np.all(np.isfinite(model.biases[i]))):
+        finite = np.isfinite(W, out=velocity.finite[i])
+        if not (finite.all() and np.all(np.isfinite(model.biases[i]))):
             raise NumericalError("non-finite DNN parameters after update")
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")

@@ -11,7 +11,7 @@ averaged over the minibatch.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from scipy.special import expit
 
 VISIBLE_KINDS = ("gaussian", "bernoulli")
@@ -72,15 +72,37 @@ class RbmTrainConfig:
 
 @dataclass
 class RbmVelocity:
-    """Momentum buffers, one per parameter tensor."""
+    """Per-RBM state that `cd1_step` carries from one step to the next.
+
+    `dW`, `db_vis` and `db_hid` are the momentum buffers.  The rest are
+    work buffers, so that a step allocates no array of the weights' or
+    of the minibatch activations' size.  `gW` holds the weight gradient,
+    `neg` the negative-phase product, `step` the update term and
+    `finite` the isfinite mask of the updated weights.  `rows` holds the
+    per-row buffers of the largest minibatch seen so far.
+    """
 
     dW: np.ndarray
     db_vis: np.ndarray
     db_hid: np.ndarray
+    gW: np.ndarray
+    neg: np.ndarray
+    step: np.ndarray
+    finite: np.ndarray
+    rows: tuple = field(default=(), init=False, repr=False)
 
     @classmethod
     def zeros_like(cls, rbm: RbmParams) -> "RbmVelocity":
-        return cls(np.zeros_like(rbm.W), np.zeros_like(rbm.b_vis), np.zeros_like(rbm.b_hid))
+        return cls(np.zeros_like(rbm.W), np.zeros_like(rbm.b_vis), np.zeros_like(rbm.b_hid),
+                   np.zeros_like(rbm.W), np.zeros_like(rbm.W), np.zeros_like(rbm.W),
+                   np.zeros(rbm.W.shape, dtype=bool))
+
+    def _minibatch_buffers(self, m: int) -> list[np.ndarray]:
+        """(ph_data, h, v_rec, ph_rec, v_err) buffers for an m-row minibatch."""
+        if not self.rows or self.rows[0].shape[0] < m:
+            n_visible, n_hidden = self.dW.shape
+            self.rows = tuple(np.zeros((m, n)) for n in (n_hidden, n_hidden, n_visible, n_hidden, n_visible))
+        return [buffer[:m] for buffer in self.rows]
 
 
 def init_rbm(n_visible: int, n_hidden: int, kind: str, seed: int) -> RbmParams:
@@ -97,13 +119,24 @@ def hidden_probs(rbm: RbmParams, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != rbm.n_visible:
         raise ValueError(f"visible dimension {v.shape[-1]} != {rbm.n_visible}")
-    return expit(v @ rbm.W + rbm.b_hid)
+    return _hidden_probs(rbm, v, np.empty(v.shape[:-1] + (rbm.n_hidden,)))
+
+
+def _hidden_probs(rbm: RbmParams, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(v, rbm.W, out=out)
+    out += rbm.b_hid
+    return expit(out, out=out)
 
 
 def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Independent 0/1 samples with the given activation probabilities."""
     probs = np.asarray(probs, dtype=float)
-    return (rng.random(probs.shape) < probs).astype(float)
+    return _sample_bernoulli(probs, rng, np.empty(probs.shape))
+
+
+def _sample_bernoulli(probs: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    rng.random(out=out)
+    return np.less(out, probs, out=out)
 
 
 def reconstruct_visible(rbm: RbmParams, h: np.ndarray) -> np.ndarray:
@@ -115,10 +148,15 @@ def reconstruct_visible(rbm: RbmParams, h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != rbm.n_hidden:
         raise ValueError(f"hidden dimension {h.shape[-1]} != {rbm.n_hidden}")
-    pre = h @ rbm.W.T + rbm.b_vis
+    return _reconstruct_visible(rbm, h, np.empty(h.shape[:-1] + (rbm.n_visible,)))
+
+
+def _reconstruct_visible(rbm: RbmParams, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.matmul(h, rbm.W.T, out=out)
+    out += rbm.b_vis
     if rbm.visible_kind == "gaussian":
-        return pre
-    return expit(pre)
+        return out
+    return expit(out, out=out)
 
 
 def cd1_step(
@@ -133,32 +171,47 @@ def cd1_step(
 
     Returns the mean squared reconstruction error of the minibatch.
     Gradients are averaged over the minibatch; weight decay applies to
-    weights only.
+    weights only.  The step runs in place in `velocity`'s work buffers,
+    so it allocates no weight- or minibatch-sized array, and it rounds
+    exactly as the expressions
+    gW = (v.T @ ph_data - v_rec.T @ ph_rec) / m,
+    dW = momentum * dW + learning_rate * (gW - weight_decay * W),
+    W = W + dW.
     """
     v = np.atleast_2d(np.asarray(minibatch, dtype=float))
     if v.shape[0] == 0:
         raise ValueError("empty minibatch")
+    if v.shape[1] != rbm.n_visible:
+        raise ValueError(f"visible dimension {v.shape[1]} != {rbm.n_visible}")
     m = v.shape[0]
+    ph_data, h, v_rec, ph_rec, v_err = velocity._minibatch_buffers(m)
 
-    ph_data = hidden_probs(rbm, v)
-    h = sample_bernoulli(ph_data, rng)
-    v_rec = reconstruct_visible(rbm, h)
-    ph_rec = hidden_probs(rbm, v_rec)
+    _hidden_probs(rbm, v, ph_data)
+    _sample_bernoulli(ph_data, rng, h)
+    _reconstruct_visible(rbm, h, v_rec)
+    _hidden_probs(rbm, v_rec, ph_rec)
 
-    gW = (v.T @ ph_data - v_rec.T @ ph_rec) / m
-    gbv = (v - v_rec).mean(axis=0)
-    gbh = (ph_data - ph_rec).mean(axis=0)
+    gW = np.matmul(v.T, ph_data, out=velocity.gW)
+    gW -= np.matmul(v_rec.T, ph_rec, out=velocity.neg)
+    gW /= m
+    gbv = np.subtract(v, v_rec, out=v_err).mean(axis=0)
+    gbh = np.subtract(ph_data, ph_rec, out=h).mean(axis=0)  # h is spent
 
-    velocity.dW = cfg.momentum * velocity.dW + cfg.learning_rate * (gW - cfg.weight_decay * rbm.W)
+    step = np.multiply(rbm.W, cfg.weight_decay, out=velocity.step)
+    np.subtract(gW, step, out=step)
+    step *= cfg.learning_rate
+    velocity.dW *= cfg.momentum
+    velocity.dW += step
     velocity.db_vis = cfg.momentum * velocity.db_vis + cfg.learning_rate * gbv
     velocity.db_hid = cfg.momentum * velocity.db_hid + cfg.learning_rate * gbh
 
     rbm.W += velocity.dW
     rbm.b_vis += velocity.db_vis
     rbm.b_hid += velocity.db_hid
-    if not (np.all(np.isfinite(rbm.W)) and np.all(np.isfinite(rbm.b_vis)) and np.all(np.isfinite(rbm.b_hid))):
+    finite = np.isfinite(rbm.W, out=velocity.finite)
+    if not (finite.all() and np.all(np.isfinite(rbm.b_vis)) and np.all(np.isfinite(rbm.b_hid))):
         raise NumericalError(f"non-finite RBM parameters after update (epoch {epoch})")
-    return float(((v - v_rec) ** 2).sum(axis=1).mean())
+    return float(np.square(v_err, out=v_err).sum(axis=1).mean())
 
 
 def train_rbm(data, cfg: RbmTrainConfig, kind: str, n_hidden: int):

@@ -22,6 +22,7 @@ from spkdbn.embeddings import (
     load_embeddings,
     save_embeddings,
 )
+from spkdbn.udbn import load_dbn, normalize_udbn
 
 STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
                   "score", "score-baseline", "fuse", "evaluate")
@@ -181,6 +182,20 @@ def test_cli_stage_writes_only_its_own_artifacts(tmp_path):
     assert main(["train-udbn", "--config", cfg_file]) == 0
     assert sorted(os.listdir(tmp_path / "exp" / "out")) == [
         "udbn.dbn", "udbn.dbn.hash", "udbn_norm.dbn", "udbn_norm.dbn.hash"]
+
+
+def test_cli_writes_the_normalized_udbn(tmp_path):
+    pairs = make_experiment(tmp_path / "exp") | {"depth": "2"}
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["train-udbn", "--config", cfg_file]) == 0
+    written = load_dbn(tmp_path / "exp" / "out" / "udbn_norm.dbn")
+    expected = normalize_udbn(load_dbn(tmp_path / "exp" / "out" / "udbn.dbn"))
+    assert written.normalized and expected.normalized
+    assert len(written.layers) == len(expected.layers) == 2
+    for got, want in zip(written.layers, expected.layers):
+        assert got.visible_kind == want.visible_kind
+        for name in ("W", "b_vis", "b_hid"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_cli_stage_before_its_inputs_fails(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from oracles import forward_oracle
 from spkdbn.balance import build_minibatch_plan
@@ -21,7 +23,7 @@ from spkdbn.dnn import (
     score_llr_batch,
     train_speaker_dnn,
 )
-from spkdbn.rbm import RbmParams
+from spkdbn.rbm import NumericalError, RbmParams
 from spkdbn.udbn import DbnParams, save_dbn
 
 
@@ -300,3 +302,83 @@ def test_model_file_must_hold_float64_arrays(tmp_path):
         np.savez(fh, W0=np.array([_Tripwire()], dtype=object), **arrays)
     _assert_unreadable(p)
     assert not _UNPICKLED
+
+
+def _backprop_oracle(weights, biases, dW, db, X, Y, cfg):
+    """One momentum SGD step written out in the library's expression order;
+    returns the new (weights, biases, dW, db, loss)."""
+    m = X.shape[0]
+    acts = []
+    a = X
+    for W, b in zip(weights[:-1], biases[:-1]):
+        a = expit(a @ W + b)
+        acts.append(a)
+    z = a @ weights[-1] + biases[-1]
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-(Y * logp).sum(axis=1).mean())
+    inputs = [X] + acts
+    delta = (probs - Y) / m
+    gW, gb = [None] * len(weights), [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        gW[i] = inputs[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * acts[i - 1] * (1.0 - acts[i - 1])
+    dW = [cfg.momentum * d - cfg.learning_rate * (g + cfg.weight_decay * W)
+          for d, g, W in zip(dW, gW, weights)]
+    db = [cfg.momentum * d - cfg.learning_rate * g for d, g in zip(db, gb)]
+    return ([W + d for W, d in zip(weights, dW)], [b + d for b, d in zip(biases, db)],
+            dW, db, loss)
+
+
+def test_backprop_two_steps_match_exact_oracle():
+    rng = np.random.default_rng(12)
+    model = DnnModel([rng.normal(0.0, 0.5, size=(6, 5)), rng.normal(0.0, 0.5, size=(5, 4)),
+                      rng.normal(0.0, 0.5, size=(4, 2))],
+                     [rng.normal(size=5), rng.normal(size=4), rng.normal(size=2)])
+    cfg = FineTuneConfig(learning_rate=0.3, epochs=1, momentum=0.9, weight_decay=0.05)
+    state = (model.copy().weights, model.copy().biases,
+             [np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases])
+    vel = DnnVelocity.zeros_like(model)
+    for rows in (5, 3):
+        X = rng.normal(size=(rows, 6))
+        Y = np.zeros((rows, 2))
+        Y[np.arange(rows), rng.integers(0, 2, size=rows)] = 1.0
+        loss = backprop_minibatch(model, X, Y, cfg, vel)
+        *state, expected_loss = _backprop_oracle(*state, X, Y, cfg)
+        for got, want in zip((model.weights, model.biases, vel.dW, vel.db), state):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+        assert loss == expected_loss
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backprop_divergence_raises():
+    m = _random_model([3, 4, 2], seed=7)
+    m.weights[0][:] = 1e300
+    cfg = FineTuneConfig(learning_rate=1e300, epochs=1, momentum=0.0, weight_decay=1.0)
+    with pytest.raises(NumericalError, match="non-finite DNN parameters"):
+        backprop_minibatch(m, np.ones((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), cfg,
+                           DnnVelocity.zeros_like(m))
+
+
+def test_backprop_step_allocates_no_weight_sized_array():
+    # one 512x512 float64 array is 2,097,152 bytes
+    model = init_random([100, 512, 512, 2], seed=0)
+    vel = DnnVelocity.zeros_like(model)
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(8, 100))
+    Y = np.tile([[1.0, 0.0], [0.0, 1.0]], (4, 1))
+    cfg = FineTuneConfig(learning_rate=0.01, epochs=1, momentum=0.9, weight_decay=0.0012)
+    backprop_minibatch(model, X, Y, cfg, vel)
+    tracemalloc.start()
+    try:
+        backprop_minibatch(model, X, Y, cfg, vel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512 * 8, peak

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -189,3 +191,65 @@ def test_train_rbm_deterministic():
     r2, e2 = train_rbm(X, cfg, "gaussian", 4)
     assert np.array_equal(r1.W, r2.W)
     assert e1 == e2
+
+
+def _cd1_oracle(W, b_vis, b_hid, dW, db_vis, db_hid, v, kind, cfg, rng):
+    """One CD-1 step written out in the library's expression order; returns
+    the new (W, b_vis, b_hid, dW, db_vis, db_hid, error)."""
+    m = v.shape[0]
+    ph_data = expit(v @ W + b_hid)
+    h = (rng.random(ph_data.shape) < ph_data).astype(float)
+    pre = h @ W.T + b_vis
+    v_rec = pre if kind == "gaussian" else expit(pre)
+    ph_rec = expit(v_rec @ W + b_hid)
+    gW = (v.T @ ph_data - v_rec.T @ ph_rec) / m
+    gbv = (v - v_rec).mean(axis=0)
+    gbh = (ph_data - ph_rec).mean(axis=0)
+    dW = cfg.momentum * dW + cfg.learning_rate * (gW - cfg.weight_decay * W)
+    db_vis = cfg.momentum * db_vis + cfg.learning_rate * gbv
+    db_hid = cfg.momentum * db_hid + cfg.learning_rate * gbh
+    err = float(((v - v_rec) ** 2).sum(axis=1).mean())
+    return W + dW, b_vis + db_vis, b_hid + db_hid, dW, db_vis, db_hid, err
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
+def test_cd1_consecutive_steps_match_exact_oracle(kind):
+    data_rng = np.random.default_rng(11)
+    rbm = RbmParams(kind, data_rng.normal(0.0, 0.1, size=(7, 5)), data_rng.normal(size=7),
+                    data_rng.normal(size=5))
+    # a smaller, then a larger minibatch: row buffers are reused, then grown
+    batches = [data_rng.normal(size=(rows, 7)) for rows in (4, 3, 6)]
+    if kind == "bernoulli":
+        batches = [expit(b) for b in batches]
+    cfg = _cfg(learning_rate=0.05, momentum=0.9, weight_decay=0.01)
+    state = (rbm.W.copy(), rbm.b_vis.copy(), rbm.b_hid.copy(),
+             np.zeros((7, 5)), np.zeros(7), np.zeros(5))
+    vel = RbmVelocity.zeros_like(rbm)
+    rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for batch in batches:
+        err = cd1_step(rbm, batch, cfg, vel, rng)
+        *state, expected_err = _cd1_oracle(*state, batch, kind, cfg, oracle_rng)
+        for got, want in zip((rbm.W, rbm.b_vis, rbm.b_hid, vel.dW, vel.db_vis, vel.db_hid),
+                             state):
+            np.testing.assert_array_equal(got, want)
+        assert err == expected_err
+
+
+@pytest.mark.parametrize("n_visible, kind, rows, bound", [
+    (512, "bernoulli", 8, 512 * 512 * 8),      # one weight-sized float64 array
+    (100, "gaussian", 100, 100 * 512 * 8),     # one hidden activation array
+])
+def test_cd1_step_allocates_no_weight_or_minibatch_sized_array(n_visible, kind, rows, bound):
+    rbm = init_rbm(n_visible, 512, kind, seed=0)
+    vel = RbmVelocity.zeros_like(rbm)
+    rng = np.random.default_rng(1)
+    batch = rng.random((rows, n_visible))
+    cfg = _cfg(learning_rate=0.01, momentum=0.9, weight_decay=0.0002)
+    cd1_step(rbm, batch, cfg, vel, rng)
+    tracemalloc.start()
+    try:
+        cd1_step(rbm, batch, cfg, vel, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
