@@ -45,6 +45,9 @@ class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
+_SYSTEMS = ("dnn", "baseline", "fused")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     # input/output paths
@@ -224,15 +227,12 @@ class _Paths:
     def models_dir(self): return os.path.join(self.out, "models")
     @property
     def models_list(self): return os.path.join(self.out, "models.txt")
-    @property
-    def scores_dnn(self): return os.path.join(self.out, "scores_dnn.txt")
-    @property
-    def scores_baseline(self): return os.path.join(self.out, "scores_baseline.txt")
-    @property
-    def scores_fused(self): return os.path.join(self.out, "scores_fused.txt")
 
     def model(self, speaker_id: str) -> str:
         return os.path.join(self.models_dir, f"{speaker_id}.dnn")
+
+    def scores(self, system: str) -> str:
+        return os.path.join(self.out, f"scores_{system}.txt")
 
     def report(self, system: str) -> str:
         return os.path.join(self.out, f"report_{system}.txt")
@@ -370,30 +370,24 @@ def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, jobs: int = 1) ->
             fh.write(f"{spk}\n")
 
 
-def _trials_by_model(trials, enrolled) -> dict[str, list[str]]:
-    """{model id: test utterance ids of its trials}, in trial order; a
-    trial whose model is not among `enrolled` is an error."""
-    by_model: dict[str, list[str]] = {}
-    for t in trials:
-        if t.model_id not in enrolled:
-            raise ValueError(f"trial model {t.model_id!r} is not an enrolled speaker")
-        by_model.setdefault(t.model_id, []).append(t.test_utterance_id)
-    return by_model
+def _model_blocks(trials: evaluation.Trials, enrolled) -> dict[str, slice]:
+    """`trials.by_model()`, checking that every model is among `enrolled`."""
+    unknown = set(trials.models) - set(enrolled)
+    if unknown:
+        raise ValueError(f"trial model {min(unknown)!r} is not an enrolled speaker")
+    return trials.by_model()
 
 
 def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths) -> None:
     test = load_embeddings(cfg.test)
     trials = evaluation.load_trials(cfg.trials)
     with open(paths.models_list) as fh:
-        by_model = _trials_by_model(trials, set(fh.read().split()))
-    scores = {}
-    for model_id in sorted(by_model):
+        blocks = _model_blocks(trials, set(fh.read().split()))
+    scores = np.empty(len(trials))
+    for model_id, block in blocks.items():
         model = dnn.load_dnn(paths.model(model_id))
-        test_ids = by_model[model_id]
-        llrs = dnn.score_llr_batch(model, test.rows(test_ids))
-        for test_id, llr in zip(test_ids, llrs):
-            scores[(model_id, test_id)] = float(llr)
-    evaluation.save_scores(scores, paths.scores_dnn)
+        scores[block] = dnn.score_llr_batch(model, test.rows(trials.tests[block]))
+    evaluation.save_scores(scores, trials, paths.scores("dnn"))
 
 
 def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths) -> None:
@@ -404,32 +398,26 @@ def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths) -> None:
     whitener = fit_whitener(background.vectors)
     save_whitener(whitener, paths.whitener)
     groups = _speaker_groups(enroll)
-    scores = {}
-    for model_id, test_ids in _trials_by_model(trials, groups).items():
-        for test_id, x in zip(test_ids, test.rows(test_ids)):
-            scores[(model_id, test_id)] = evaluation.score_baseline(groups[model_id], x, whitener)
-    evaluation.save_scores(scores, paths.scores_baseline)
+    scores = np.empty(len(trials))
+    for model_id, block in _model_blocks(trials, groups).items():
+        scores[block] = [evaluation.score_baseline(groups[model_id], x, whitener)
+                         for x in test.rows(trials.tests[block])]
+    evaluation.save_scores(scores, trials, paths.scores("baseline"))
 
 
-def stage_fuse(paths: _Paths) -> None:
-    a = evaluation.load_scores(paths.scores_dnn)
-    b = evaluation.load_scores(paths.scores_baseline)
-    evaluation.save_scores(evaluation.fuse(a, b), paths.scores_fused)
+def stage_fuse(cfg: ExperimentConfig, paths: _Paths) -> None:
+    trials = evaluation.load_trials(cfg.trials)
+    a = evaluation.load_scores(paths.scores("dnn"), trials)
+    b = evaluation.load_scores(paths.scores("baseline"), trials)
+    evaluation.save_scores(evaluation.fuse(a, b), trials, paths.scores("fused"))
 
 
 def stage_evaluate(cfg: ExperimentConfig, paths: _Paths) -> None:
     trials = evaluation.load_trials(cfg.trials)
-    for system, score_path in (
-        ("dnn", paths.scores_dnn),
-        ("baseline", paths.scores_baseline),
-        ("fused", paths.scores_fused),
-    ):
-        scores = evaluation.load_scores(score_path)
+    for system in _SYSTEMS:
+        scores = evaluation.load_scores(paths.scores(system), trials)
         report = evaluation.evaluate_trials(scores, trials)
         evaluation.save_report(report, paths.report(system), paths.det_csv(system))
-
-
-_SYSTEMS = ("dnn", "baseline", "fused")
 
 
 def _speaker_artifacts(cfg: ExperimentConfig, paths: _Paths) -> list[str]:
@@ -450,12 +438,12 @@ STAGES = (
      lambda cfg, paths, jobs: stage_cluster(cfg, paths)),
     ("train-speakers", _speaker_artifacts,
      lambda cfg, paths, jobs: stage_train_speakers(cfg, paths, jobs)),
-    ("score", lambda cfg, paths: [paths.scores_dnn],
+    ("score", lambda cfg, paths: [paths.scores("dnn")],
      lambda cfg, paths, jobs: stage_score_dnn(cfg, paths)),
-    ("score-baseline", lambda cfg, paths: [paths.scores_baseline, paths.whitener],
+    ("score-baseline", lambda cfg, paths: [paths.scores("baseline"), paths.whitener],
      lambda cfg, paths, jobs: stage_score_baseline(cfg, paths)),
-    ("fuse", lambda cfg, paths: [paths.scores_fused],
-     lambda cfg, paths, jobs: stage_fuse(paths)),
+    ("fuse", lambda cfg, paths: [paths.scores("fused")],
+     lambda cfg, paths, jobs: stage_fuse(cfg, paths)),
     ("evaluate",
      lambda cfg, paths: [paths.report(s) for s in _SYSTEMS] + [paths.det_csv(s) for s in _SYSTEMS],
      lambda cfg, paths, jobs: stage_evaluate(cfg, paths)),

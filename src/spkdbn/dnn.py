@@ -220,13 +220,8 @@ def train_speaker_dnn(init: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) 
     return model
 
 
-def score_llr(model: DnnModel, test: np.ndarray) -> float:
-    """log(o1) - log(o2); for a softmax this is exactly z1 - z2."""
-    _, z, _ = _forward_full(model, test)
-    return float(z[0, 0] - z[0, 1])
-
-
 def score_llr_batch(model: DnnModel, X: np.ndarray) -> np.ndarray:
+    """log(o1) - log(o2) per row of X; for a softmax this is exactly z1 - z2."""
     _, z, _ = _forward_full(model, X)
     return z[:, 0] - z[:, 1]
 

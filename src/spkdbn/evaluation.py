@@ -1,5 +1,9 @@
 """Trial scoring and evaluation: cosine baseline, EER, minDCF, DET, fusion.
 
+A trial list (`Trials`) holds columns `models`, `tests` and `keys`,
+sorted by (model, test), the only trial order: a score set is a float64
+vector whose element i scores trial i, and a score file is in that order.
+
 Scores are similarity-oriented throughout (higher = more target-like).
 The threshold sweep takes the midpoints between consecutive distinct
 scores plus -inf/+inf sentinels, which covers every achievable operating
@@ -7,6 +11,8 @@ point; a trial is accepted when its score >= threshold.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 from dataclasses import dataclass
@@ -25,20 +31,33 @@ DCF_C_MISS = 10.0
 DCF_C_FA = 1.0
 DCF_P_TARGET = 0.01
 
-TRIAL_KEYS = ("target", "nontarget", "unknown")
-
 
 @dataclass(frozen=True)
-class Trial:
-    model_id: str
-    test_utterance_id: str
-    key: str = "unknown"
+class Trials:
+    """A trial list as three columns, strictly increasing in (model, test)."""
+
+    models: tuple[str, ...]
+    tests: tuple[str, ...]
+    keys: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.model_id or not self.test_utterance_id:
-            raise ValueError("trial ids must be non-empty")
-        if self.key not in TRIAL_KEYS:
-            raise ValueError(f"unknown trial key {self.key!r}")
+        if not len(self.models) == len(self.tests) == len(self.keys):
+            raise ValueError("trial columns differ in length")
+        unknown = set(self.keys) - {"target", "nontarget"}
+        if unknown:
+            raise ValueError(f"unknown trial key {min(unknown)!r}")
+        pairs = list(zip(self.models, self.tests))
+        if any(not p < q for p, q in zip(pairs, pairs[1:])):
+            raise ValueError("trial pairs are not strictly increasing in (model, test)")
+
+    def __len__(self) -> int:
+        return len(self.models)
+
+    def by_model(self) -> dict[str, slice]:
+        """{model: slice of its trial indices}, models sorted; the list is
+        sorted, so each model's trials are one contiguous block."""
+        return {m: slice(bisect.bisect_left(self.models, m), bisect.bisect_right(self.models, m))
+                for m in dict.fromkeys(self.models)}
 
 
 @dataclass(frozen=True)
@@ -77,27 +96,16 @@ def mean_var_normalize(scores) -> np.ndarray:
     return (x - x.mean()) / sd
 
 
-def fuse(scores_a: dict, scores_b: dict) -> dict:
-    """Sum of per-system mean/variance-normalized scores, per trial.
-
-    Both inputs map (model_id, test_utterance_id) to a score and must
-    cover the identical trial set.
-    """
-    if set(scores_a) != set(scores_b):
-        raise ValueError("fusion requires identical trial sets")
-    keys = sorted(scores_a)
-    na = mean_var_normalize([scores_a[k] for k in keys])
-    nb = mean_var_normalize([scores_b[k] for k in keys])
-    return {k: float(a + b) for k, a, b in zip(keys, na, nb)}
+def fuse(scores_a, scores_b) -> np.ndarray:
+    """Sum of two aligned score vectors, each mean/variance-normalized."""
+    return mean_var_normalize(scores_a) + mean_var_normalize(scores_b)
 
 
 def _split_scores(scores, keys):
-    s = np.asarray(scores, dtype=float)
-    k = list(keys)
-    if s.size != len(k):
+    s, k = np.asarray(scores, dtype=float), np.asarray(keys)
+    if s.shape != k.shape:
         raise ValueError("scores and keys differ in length")
-    tar = np.sort(s[[i for i, key in enumerate(k) if key == "target"]])
-    non = np.sort(s[[i for i, key in enumerate(k) if key == "nontarget"]])
+    tar, non = np.sort(s[k == "target"]), np.sort(s[k == "nontarget"])
     if tar.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
     return tar, non
@@ -155,59 +163,67 @@ def compute_min_dcf(
     return float(dcf[i]), float(thr[i])
 
 
-def evaluate_trials(scores: dict, trials) -> EvalReport:
-    """Full report for a scored trial list (keys must not be 'unknown')."""
-    vals, keys = [], []
-    for t in trials:
-        pair = (t.model_id, t.test_utterance_id)
-        if pair not in scores:
-            raise ValueError(f"missing score for trial {pair}")
-        vals.append(scores[pair])
-        keys.append(t.key)
-    eer, thr = compute_eer(vals, keys)
-    min_dcf, _ = compute_min_dcf(vals, keys)
-    pts = det_points(vals, keys)
-    return EvalReport(eer, min_dcf, tuple(pts), thr)
+def evaluate_trials(scores, trials: Trials) -> EvalReport:
+    """Full report for a score vector aligned with `trials`."""
+    eer, thr = compute_eer(scores, trials.keys)
+    min_dcf, _ = compute_min_dcf(scores, trials.keys)
+    return EvalReport(eer, min_dcf, tuple(det_points(scores, trials.keys)), thr)
 
 
-def load_trials(path) -> list[Trial]:
-    """Trial list: `<model_id> <test_utterance_id> <target|nontarget>` per line."""
-    trials = []
+def load_trials(path) -> Trials:
+    """Trial list: `<model_id> <test_utterance_id> <target|nontarget>` per
+    line, in any order, each pair once; returned sorted by (model, test)."""
+    key_of, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = line.split()
             if len(fields) != 3 or fields[2] not in ("target", "nontarget"):
                 raise ParseError(f"{path}:{lineno}: expected '<model> <test> <target|nontarget>'")
-            trials.append(Trial(fields[0], fields[1], fields[2]))
-    if not trials:
+            pair = (fields[0], fields[1])
+            if pair in key_of:
+                raise ParseError(f"{path}:{lineno}: trial '{fields[0]} {fields[1]}' "
+                                 f"repeats line {first_line[pair]}")
+            key_of[pair], first_line[pair] = fields[2], lineno
+    if not key_of:
         raise ParseError(f"{path}: no trials found")
-    return trials
+    models, tests = zip(*sorted(key_of))
+    return Trials(models, tests, tuple(key_of[pair] for pair in zip(models, tests)))
 
 
-def save_scores(scores: dict, path) -> None:
-    """Score file: `<model_id> <test_utterance_id> <score>`, sorted by ids."""
+def save_scores(scores, trials: Trials, path) -> None:
+    """Score file: `<model_id> <test_utterance_id> <score>` per trial, in order."""
+    if len(scores) != len(trials):
+        raise ValueError(f"{len(scores)} scores for {len(trials)} trials")
     with open(path, "w") as fh:
-        for (model_id, test_id) in sorted(scores):
-            fh.write(f"{model_id} {test_id} {_fmt(scores[(model_id, test_id)])}\n")
+        for model_id, test_id, score in zip(trials.models, trials.tests, scores):
+            fh.write(f"{model_id} {test_id} {_fmt(score)}\n")
 
 
-def load_scores(path) -> dict:
-    scores = {}
+def load_scores(path, trials: Trials) -> np.ndarray:
+    """The score vector of a file that scores every trial once, in trial
+    order.  A line that does not score the next trial, a line past the
+    last trial or a missing line raises ParseError naming the line."""
+    scores = np.empty(len(trials))
+    i = lineno = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(f"{path}:{lineno}: expected '<model> <test> <score>'")
+            if i == len(trials):
+                raise ParseError(f"{path}:{lineno}: score past the last of {len(trials)} trials")
+            want = [trials.models[i], trials.tests[i]]
+            if len(fields) != 3 or fields[:2] != want:
+                raise ParseError(f"{path}:{lineno}: expected '{want[0]} {want[1]} <score>'")
             try:
-                scores[(fields[0], fields[1])] = float(fields[2])
+                scores[i] = float(fields[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad score field") from None
+            i += 1
+    if i < len(trials):
+        raise ParseError(f"{path}:{lineno + 1}: missing '{trials.models[i]} {trials.tests[i]}'")
     return scores
 
 

@@ -269,3 +269,26 @@ def test_cli_trial_naming_an_unknown_id_is_reported(tmp_path, capsys, trial, mes
     assert f"stage score: {message}" in capsys.readouterr().err
     assert main(["score-baseline", "--config", cfg_file]) == 1
     assert f"stage score-baseline: {message}" in capsys.readouterr().err
+
+
+def test_cli_repeated_trial_pair_is_reported(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    with open(pairs["trials"], "a") as fh:
+        fh.write("spk0001 spk0002_sess001 target\n")  # line 13 lists it as nontarget
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 1
+    assert (f"stage score: {pairs['trials']}:33: trial 'spk0001 spk0002_sess001' repeats line 13"
+            in capsys.readouterr().err)
+
+
+def test_cli_trial_order_does_not_change_the_outputs(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    with open(pairs["trials"]) as fh:
+        lines = fh.readlines()
+    shuffled = tmp_path / "shuffled_trials.txt"
+    shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines))))
+    run_pipeline(resolve_config(pairs))
+    run_pipeline(resolve_config(pairs | {"trials": str(shuffled), "out": str(tmp_path / "out")}))
+    for system in ("dnn", "baseline", "fused"):
+        for name in (f"scores_{system}.txt", f"report_{system}.txt", f"det_{system}.csv"):
+            assert _file_hash(tmp_path / "out" / name) == _file_hash(pairs["out"] + "/" + name)

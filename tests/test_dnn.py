@@ -19,7 +19,6 @@ from spkdbn.dnn import (
     load_dnn,
     mean_cross_entropy,
     save_dnn,
-    score_llr,
     score_llr_batch,
     train_speaker_dnn,
 )
@@ -67,7 +66,7 @@ def test_forward_all_zero_parameters():
     acts, probs = forward(m, np.array([1.0, -2.0, 0.5]))
     np.testing.assert_allclose(acts[0], 0.5)
     np.testing.assert_allclose(probs, [0.5, 0.5])
-    assert score_llr(m, np.array([1.0, -2.0, 0.5])) == 0.0
+    assert score_llr_batch(m, np.array([[1.0, -2.0, 0.5]]))[0] == 0.0
 
 
 def test_softmax_shift_invariance():
@@ -232,7 +231,7 @@ def test_score_llr_values():
     # bias-only model with known softmax output (0.9, 0.1)
     b = np.array([np.log(9.0), 0.0])
     m = DnnModel([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), b])
-    assert score_llr(m, np.zeros(2)) == pytest.approx(np.log(9.0), abs=1e-12)
+    assert score_llr_batch(m, np.zeros((1, 2)))[0] == pytest.approx(np.log(9.0), abs=1e-12)
     _, probs = forward(m, np.zeros(2))
     np.testing.assert_allclose(probs, [0.9, 0.1], atol=1e-12)
     batch = score_llr_batch(m, np.zeros((3, 2)))

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import eer_oracle, min_dcf_oracle, sweep_oracle
-from spkdbn.embeddings import fit_whitener
+from spkdbn.embeddings import ParseError, fit_whitener
 from spkdbn.evaluation import (
     EvalReport,
-    Trial,
+    Trials,
     compute_eer,
     compute_min_dcf,
     det_points,
@@ -109,31 +111,21 @@ def test_mean_var_normalize():
 
 def test_fuse_self_and_symmetry():
     rng = np.random.default_rng(0)
-    keys = [("m", f"t{i}") for i in range(10)]
-    a = {k: float(rng.normal()) for k in keys}
-    b = {k: float(rng.normal()) for k in keys}
+    a = rng.normal(size=10)
+    b = rng.normal(size=10)
     fab, fba = fuse(a, b), fuse(b, a)
-    for k in keys:
-        assert fab[k] == pytest.approx(fba[k], abs=1e-12)
-    self_fused = fuse(a, a)
-    na = mean_var_normalize([a[k] for k in sorted(a)])
-    for k, v in zip(sorted(a), na):
-        assert self_fused[k] == pytest.approx(2.0 * v, abs=1e-12)
+    np.testing.assert_allclose(fab, fba, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fuse(a, a), 2.0 * mean_var_normalize(a), rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
-        fuse(a, {("m", "other"): 1.0})
+        fuse(a, np.array([1.0, 2.0]))
 
 
 def test_fuse_matches_normalization_oracle():
     rng = np.random.default_rng(1)
-    keys = [("m", f"t{i}") for i in range(50)]
-    a = {k: float(rng.normal(2.0, 3.0)) for k in keys}
-    b = {k: float(rng.normal(-1.0, 0.5)) for k in keys}
-    fused = fuse(a, b)
-    sk = sorted(keys)
-    va = np.array([a[k] for k in sk])
-    vb = np.array([b[k] for k in sk])
+    va = rng.normal(2.0, 3.0, size=50)
+    vb = rng.normal(-1.0, 0.5, size=50)
     want = (va - va.mean()) / va.std() + (vb - vb.mean()) / vb.std()
-    np.testing.assert_allclose([fused[k] for k in sk], want, atol=1e-12)
+    np.testing.assert_allclose(fuse(va, vb), want, atol=1e-12)
 
 
 def _whitener(seed=0, d=4, n=200):
@@ -174,9 +166,9 @@ def test_score_baseline_multisession_identical_equals_single():
 
 
 def test_evaluate_trials_and_report_files(tmp_path):
-    trials = [Trial("m1", "t1", "target"), Trial("m1", "t2", "nontarget"),
-              Trial("m2", "t1", "nontarget"), Trial("m2", "t2", "target")]
-    scores = {("m1", "t1"): 2.0, ("m1", "t2"): -1.0, ("m2", "t1"): -2.0, ("m2", "t2"): 1.0}
+    trials = Trials(("m1", "m1", "m2", "m2"), ("t1", "t2", "t1", "t2"),
+                    ("target", "nontarget", "nontarget", "target"))
+    scores = np.array([2.0, -1.0, -2.0, 1.0])
     report = evaluate_trials(scores, trials)
     assert report.eer == 0.0
     assert report.min_dcf == 0.0
@@ -186,20 +178,60 @@ def test_evaluate_trials_and_report_files(tmp_path):
     assert first.startswith("eer=0 ")
     assert dp.read_text().splitlines()[0] == "p_fa,p_miss"
     with pytest.raises(ValueError):
-        evaluate_trials({("m1", "t1"): 1.0}, trials)
+        evaluate_trials(np.array([1.0]), trials)
 
 
 def test_trial_and_score_files(tmp_path):
     p = tmp_path / "trials.txt"
-    p.write_text("m1 t1 target\nm1 t2 nontarget\n")
+    p.write_text("m2 t1 nontarget\nm1 t2 nontarget\n# comment\nm1 t1 target\n")
     trials = load_trials(p)
-    assert trials[0] == Trial("m1", "t1", "target")
+    assert trials.models == ("m1", "m1", "m2")
+    assert trials.tests == ("t1", "t2", "t1")
+    assert trials.keys == ("target", "nontarget", "nontarget")
     bad = tmp_path / "bad.txt"
     bad.write_text("m1 t1 bogus\n")
     with pytest.raises(Exception):
         load_trials(bad)
 
     sp = tmp_path / "scores.txt"
-    scores = {("m1", "t1"): 1.25, ("m1", "t2"): -0.5}
-    save_scores(scores, sp)
-    assert load_scores(sp) == scores
+    scores = np.array([1.25, -0.5, 0.1])
+    save_scores(scores, trials, sp)
+    assert sp.read_text() == "m1 t1 1.25\nm1 t2 -0.5\nm2 t1 0.10000000000000001\n"
+    back = load_scores(sp, trials)
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, scores)
+    with pytest.raises(ValueError):
+        save_scores(scores[:2], trials, sp)
+
+
+def test_load_trials_rejects_a_repeated_pair(tmp_path):
+    p = tmp_path / "trials.txt"
+    p.write_text("m1 t1 target\nm1 t2 nontarget\nm1 t1 nontarget\n")
+    with pytest.raises(ParseError, match=re.escape(f"{p}:3: trial 'm1 t1' repeats line 1")):
+        load_trials(p)
+
+
+def test_trials_columns_are_checked():
+    trials = Trials(("a", "a", "b", "c", "c"), ("x", "y", "x", "x", "y"), ("target",) * 5)
+    assert trials.by_model() == {"a": slice(0, 2), "b": slice(2, 3), "c": slice(3, 5)}
+    with pytest.raises(ValueError, match="trial columns differ in length"):
+        Trials(("a", "a"), ("x",), ("target", "target"))
+    with pytest.raises(ValueError, match="unknown trial key 'unknown'"):
+        Trials(("a",), ("x",), ("unknown",))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trials(("a", "a"), ("y", "x"), ("target", "target"))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trials(("a", "a"), ("x", "x"), ("target", "nontarget"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("m1 t1 1.0\nm1 t2 2.0\n", ":3: missing 'm2 t1'"),
+    ("m1 t1 1.0\nm1 t2 2.0\nm2 t1 3.0\nm2 t2 4.0\n", ":4: score past the last of 3 trials"),
+    ("m1 t1 1.0\nm1 t9 2.0\nm2 t1 3.0\n", ":2: expected 'm1 t2 <score>'"),
+])
+def test_load_scores_rejects_a_misaligned_file(tmp_path, text, message):
+    trials = Trials(("m1", "m1", "m2"), ("t1", "t2", "t1"), ("target", "nontarget", "nontarget"))
+    sp = tmp_path / "scores.txt"
+    sp.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{sp}{message}")):
+        load_scores(sp, trials)
