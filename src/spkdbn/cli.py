@@ -4,11 +4,12 @@ Wires the full flow: background data -> universal DBN -> impostor
 selection and clustering -> per-speaker adaptation and fine-tuning ->
 LLR and cosine-baseline scoring -> fusion -> evaluation.  The stages
 are declared once, in `STAGES`; `run` walks every entry and each stage
-subcommand runs only its own.  Every stage persists its artifacts under
-the output directory with a stamp that hashes the config and the
-contents of the four input files, so re-runs skip completed stages; a
-stamp that does not match (the config or an input file changed) aborts
-the run instead of silently mixing results.
+subcommand runs only its own.  Each input file is hashed when an
+invocation starts and parsed at most once; a file that changes between
+the two is an error.  Every stage stamps its artifacts with the config
+hash and the input digests, so re-runs skip completed stages; a stamp
+that does not match (the config or an input file changed) aborts the run
+instead of silently mixing results.
 
 Configuration is a flat key=value text file; `--override key=value`
 wins over the file, and preset defaults (per task and depth) fill
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import os
 import sys
@@ -34,6 +36,7 @@ from .embeddings import (
     fit_whitener,
     generate_synthetic,
     load_embeddings,
+    parse_embeddings,
     save_embeddings,
     save_whitener,
 )
@@ -118,7 +121,7 @@ def _coerce(key: str, value: str):
 
 
 def parse_config_file(path) -> dict:
-    pairs = {}
+    pairs, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -126,8 +129,10 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            pairs[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in pairs:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
+            pairs[key], first_line[key] = value, lineno
     return pairs
 
 
@@ -157,19 +162,6 @@ def derive_seed(*parts) -> int:
 
 def _stamp_path(artifact: str) -> str:
     return artifact + ".hash"
-
-
-def _run_stamp(cfg: ExperimentConfig) -> str:
-    """Stamp for this config and these inputs: the config hash and the
-    SHA-256 of the contents of each of the four input files."""
-    stamp = hashlib.sha256(config_hash(cfg).encode())
-    for path in (cfg.background, cfg.enroll, cfg.test, cfg.trials):
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-        stamp.update(digest.digest())
-    return stamp.hexdigest()
 
 
 def _stage(name: str, artifacts: list[str], stamp: str, fn) -> bool:
@@ -241,21 +233,54 @@ class _Paths:
         return os.path.join(self.out, f"det_{system}.csv")
 
 
-def _validate_inputs(cfg: ExperimentConfig) -> None:
-    missing = [
-        p for p in (cfg.background, cfg.enroll, cfg.test, cfg.trials) if not os.path.exists(p)
-    ]
-    if missing:
-        raise PipelineError(f"stage validate: missing input file(s): {', '.join(missing)}")
-    if not cfg.out:
-        raise PipelineError("stage validate: output directory (out=) not set")
+def _parsed(name: str):
+    """A cached `_Inputs` property: input `name`, parsed as it is hashed."""
+    def get(inputs):
+        path, digest = getattr(inputs.cfg, name), hashlib.sha256()
+        parse = evaluation.parse_trials if name == "trials" else parse_embeddings
+        with open(path, "rb") as fh:
+            parsed = parse((digest.update(line) or line.decode() for line in fh), path)
+        if digest.digest() != inputs.digests[name]:
+            raise ValueError(f"input file {path} changed after this invocation hashed it")
+        return parsed
+    return functools.cached_property(get)
 
 
-def _speaker_groups(enroll: Dataset) -> dict[str, np.ndarray]:
-    groups = enroll.by_speaker()
-    if not groups:
-        raise ValueError("enrollment data has no speaker labels")
-    return groups
+class _Inputs:
+    """The four input files of one invocation: each is hashed into `stamp`
+    (SHA-256 of the config hash and the four file digests) when built, and
+    parsed at most once, on first use, by a pass that checks its digest."""
+
+    background = _parsed("background")
+    enroll = _parsed("enroll")
+    test = _parsed("test")
+    trials = _parsed("trials")
+
+    def __init__(self, cfg: ExperimentConfig):
+        paths = {name: getattr(cfg, name) for name in ("background", "enroll", "test", "trials")}
+        missing = [p for p in paths.values() if not os.path.exists(p)]
+        if missing:
+            raise PipelineError(f"stage validate: missing input file(s): {', '.join(missing)}")
+        if not cfg.out:
+            raise PipelineError("stage validate: output directory (out=) not set")
+        self.cfg, self.digests = cfg, {}
+        stamp = hashlib.sha256(config_hash(cfg).encode())
+        for name, path in paths.items():
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(block)
+            self.digests[name] = digest.digest()
+            stamp.update(self.digests[name])
+        self.stamp = stamp.hexdigest()
+
+    @functools.cached_property
+    def speakers(self) -> dict[str, np.ndarray]:
+        """`enroll.by_speaker()`, which must name at least one speaker."""
+        groups = self.enroll.by_speaker()
+        if not groups:
+            raise ValueError("enrollment data has no speaker labels")
+        return groups
 
 
 def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
@@ -276,31 +301,28 @@ def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
     return cfgs
 
 
-def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths) -> None:
-    background = load_embeddings(cfg.background)
-    model = udbn.train_udbn(background.vectors, [cfg.hidden_size] * cfg.depth, _rbm_configs(cfg))
+def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    model = udbn.train_udbn(inputs.background.vectors, [cfg.hidden_size] * cfg.depth,
+                            _rbm_configs(cfg))
     udbn.save_dbn(model, paths.udbn)
     udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)
 
 
-def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths) -> None:
-    background = load_embeddings(cfg.background)
-    enroll = load_embeddings(cfg.enroll)
-    targets = [average_embeddings(vs) for vs in _speaker_groups(enroll).values()]
-    freqs = balance.impostor_frequencies(targets, background.vectors, cfg.impostor_n)
-    selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(background)))
+def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    targets = [average_embeddings(vs) for vs in inputs.speakers.values()]
+    freqs = balance.impostor_frequencies(targets, inputs.background.vectors, cfg.impostor_n)
+    selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(inputs.background)))
     with open(paths.selected, "w") as fh:
         for idx in selected:
-            fh.write(f"{background.ids[idx]} {freqs[idx]}\n")
+            fh.write(f"{inputs.background.ids[idx]} {freqs[idx]}\n")
 
 
-def stage_cluster(cfg: ExperimentConfig, paths: _Paths) -> None:
-    background = load_embeddings(cfg.background)
+def stage_cluster(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     with open(paths.selected) as fh:
         ids = [ln.split()[0] for ln in fh if ln.strip()]
     centroids = balance.kmeans_cosine(
-        background.rows(ids), cfg.num_centroids, seed=derive_seed(cfg.master_seed, "kmeans"),
-        max_iter=cfg.kmeans_max_iter,
+        inputs.background.rows(ids), cfg.num_centroids,
+        seed=derive_seed(cfg.master_seed, "kmeans"), max_iter=cfg.kmeans_max_iter,
     )
     ids = tuple(f"centroid_{j}" for j in range(len(centroids)))
     save_embeddings(Dataset(ids, (None,) * len(ids), centroids), paths.centroids)
@@ -350,23 +372,23 @@ def _train_one_speaker(args) -> str:
     return speaker_id
 
 
-def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, jobs: int = 1) -> None:
-    enroll = load_embeddings(cfg.enroll)
+def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs, jobs: int) -> None:
     centroids = load_embeddings(paths.centroids).vectors
-    groups = _speaker_groups(enroll)
     os.makedirs(paths.models_dir, exist_ok=True)
     tasks = [
         (cfg, spk, targets, centroids, paths.udbn_norm, paths.model(spk))
-        for spk, targets in groups.items()
+        for spk, targets in inputs.speakers.items()
     ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A fork-context pool starts all max_workers processes at once.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_train_one_speaker, tasks))
     else:
         for t in tasks:
             _train_one_speaker(t)
     with open(paths.models_list, "w") as fh:
-        for spk in groups:
+        for spk in inputs.speakers:
             fh.write(f"{spk}\n")
 
 
@@ -378,9 +400,8 @@ def _model_blocks(trials: evaluation.Trials, enrolled) -> dict[str, slice]:
     return trials.by_model()
 
 
-def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths) -> None:
-    test = load_embeddings(cfg.test)
-    trials = evaluation.load_trials(cfg.trials)
+def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    test, trials = inputs.test, inputs.trials
     with open(paths.models_list) as fh:
         blocks = _model_blocks(trials, set(fh.read().split()))
     scores = np.empty(len(trials))
@@ -390,14 +411,10 @@ def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths) -> None:
     evaluation.save_scores(scores, trials, paths.scores("dnn"))
 
 
-def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths) -> None:
-    background = load_embeddings(cfg.background)
-    enroll = load_embeddings(cfg.enroll)
-    test = load_embeddings(cfg.test)
-    trials = evaluation.load_trials(cfg.trials)
-    whitener = fit_whitener(background.vectors)
+def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    test, trials, groups = inputs.test, inputs.trials, inputs.speakers
+    whitener = fit_whitener(inputs.background.vectors)
     save_whitener(whitener, paths.whitener)
-    groups = _speaker_groups(enroll)
     scores = np.empty(len(trials))
     for model_id, block in _model_blocks(trials, groups).items():
         scores[block] = [evaluation.score_baseline(groups[model_id], x, whitener)
@@ -405,61 +422,54 @@ def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths) -> None:
     evaluation.save_scores(scores, trials, paths.scores("baseline"))
 
 
-def stage_fuse(cfg: ExperimentConfig, paths: _Paths) -> None:
-    trials = evaluation.load_trials(cfg.trials)
+def stage_fuse(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    trials = inputs.trials
     a = evaluation.load_scores(paths.scores("dnn"), trials)
     b = evaluation.load_scores(paths.scores("baseline"), trials)
     evaluation.save_scores(evaluation.fuse(a, b), trials, paths.scores("fused"))
 
 
-def stage_evaluate(cfg: ExperimentConfig, paths: _Paths) -> None:
-    trials = evaluation.load_trials(cfg.trials)
+def stage_evaluate(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    trials = inputs.trials
     for system in _SYSTEMS:
         scores = evaluation.load_scores(paths.scores(system), trials)
         report = evaluation.evaluate_trials(scores, trials)
         evaluation.save_report(report, paths.report(system), paths.det_csv(system))
 
 
-def _speaker_artifacts(cfg: ExperimentConfig, paths: _Paths) -> list[str]:
-    """One model per enrolled speaker, then the model list; parses enroll."""
-    speakers = list(_speaker_groups(load_embeddings(cfg.enroll)))
-    return [paths.model(spk) for spk in speakers] + [paths.models_list]
-
-
-# The pipeline in order, as (name, artifacts(cfg, paths), run(cfg, paths, jobs)).
-# Each run looks its stage_* function up in the module globals when called,
-# so a wrapper installed on this module (the benchmark's span tracer) runs.
+# The pipeline in order, as (name, artifacts(paths, inputs), run(cfg, paths, inputs, jobs)).
+# Each run looks its stage_* function up when called, so a wrapper put on this module runs.
 STAGES = (
-    ("train-udbn", lambda cfg, paths: [paths.udbn, paths.udbn_norm],
-     lambda cfg, paths, jobs: stage_train_udbn(cfg, paths)),
-    ("select-impostors", lambda cfg, paths: [paths.selected],
-     lambda cfg, paths, jobs: stage_select_impostors(cfg, paths)),
-    ("cluster", lambda cfg, paths: [paths.centroids],
-     lambda cfg, paths, jobs: stage_cluster(cfg, paths)),
-    ("train-speakers", _speaker_artifacts,
-     lambda cfg, paths, jobs: stage_train_speakers(cfg, paths, jobs)),
-    ("score", lambda cfg, paths: [paths.scores("dnn")],
-     lambda cfg, paths, jobs: stage_score_dnn(cfg, paths)),
-    ("score-baseline", lambda cfg, paths: [paths.scores("baseline"), paths.whitener],
-     lambda cfg, paths, jobs: stage_score_baseline(cfg, paths)),
-    ("fuse", lambda cfg, paths: [paths.scores("fused")],
-     lambda cfg, paths, jobs: stage_fuse(cfg, paths)),
+    ("train-udbn", lambda paths, inputs: [paths.udbn, paths.udbn_norm],
+     lambda cfg, paths, inputs, jobs: stage_train_udbn(cfg, paths, inputs)),
+    ("select-impostors", lambda paths, inputs: [paths.selected],
+     lambda cfg, paths, inputs, jobs: stage_select_impostors(cfg, paths, inputs)),
+    ("cluster", lambda paths, inputs: [paths.centroids],
+     lambda cfg, paths, inputs, jobs: stage_cluster(cfg, paths, inputs)),
+    ("train-speakers",
+     lambda paths, inputs: [paths.model(spk) for spk in inputs.speakers] + [paths.models_list],
+     lambda cfg, paths, inputs, jobs: stage_train_speakers(cfg, paths, inputs, jobs)),
+    ("score", lambda paths, inputs: [paths.scores("dnn")],
+     lambda cfg, paths, inputs, jobs: stage_score_dnn(cfg, paths, inputs)),
+    ("score-baseline", lambda paths, inputs: [paths.scores("baseline"), paths.whitener],
+     lambda cfg, paths, inputs, jobs: stage_score_baseline(cfg, paths, inputs)),
+    ("fuse", lambda paths, inputs: [paths.scores("fused")],
+     lambda cfg, paths, inputs, jobs: stage_fuse(cfg, paths, inputs)),
     ("evaluate",
-     lambda cfg, paths: [paths.report(s) for s in _SYSTEMS] + [paths.det_csv(s) for s in _SYSTEMS],
-     lambda cfg, paths, jobs: stage_evaluate(cfg, paths)),
+     lambda paths, inputs: [*map(paths.report, _SYSTEMS), *map(paths.det_csv, _SYSTEMS)],
+     lambda cfg, paths, inputs, jobs: stage_evaluate(cfg, paths, inputs)),
 )
 
 
 def _run_stages(cfg: ExperimentConfig, jobs: int, only: str | None = None) -> _Paths:
     """Run every STAGES entry, or only the one named, skipping the ones
     already completed for this exact config and these inputs."""
-    _validate_inputs(cfg)
+    inputs = _Inputs(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     paths = _Paths(cfg.out)
-    stamp = _run_stamp(cfg)
     for name, artifacts, run in STAGES:
         if only in (None, name):
-            _stage(name, artifacts(cfg, paths), stamp, lambda: run(cfg, paths, jobs))
+            _stage(name, artifacts(paths, inputs), inputs.stamp, lambda: run(cfg, paths, inputs, jobs))
     return paths
 
 
@@ -513,6 +523,8 @@ def main(argv=None) -> int:
         _add_common(sub.add_parser(name))
 
     args = parser.parse_args(argv)
+    if args.command != "gen-synth" and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         if args.command == "gen-synth":
             ds = generate_synthetic(

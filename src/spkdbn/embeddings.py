@@ -161,7 +161,12 @@ class SynthConfig:
 
 
 def load_embeddings(path) -> Dataset:
-    """Parse an embedding text file into a Dataset.
+    with open(path) as fh:
+        return parse_embeddings(fh, path)
+
+
+def parse_embeddings(lines, path) -> Dataset:
+    """Parse the lines of the embedding text file `path` into a Dataset.
 
     The dimension is inferred from the first record; a malformed row, bad
     float, inconsistent dimension, non-finite value or duplicate utterance
@@ -174,36 +179,35 @@ def load_embeddings(path) -> Dataset:
     dim = None
     header_dim = None
     seen: set[str] = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                m = re.match(r"#\s*embeddings\s+d=(\d+)", line)
-                if m:
-                    header_dim = int(m.group(1))
-                continue
-            fields = line.split(" ")
-            if len(fields) < 3:
-                raise ParseError(f"{path}:{lineno}: expected id, speaker and values")
-            utt, spk = fields[0], fields[1]
-            try:
-                values = np.array([float(x) for x in fields[2:]])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad float field ({exc})") from None
-            if dim is None:
-                dim = values.size
-            elif values.size != dim:
-                raise ParseError(
-                    f"{path}:{lineno}: dimension {values.size} != {dim} of first row"
-                )
-            if utt in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate utterance_id {utt!r}")
-            if not np.isfinite(values).all():
-                raise ParseError(f"{path}:{lineno}: non-finite value in embedding {utt!r}")
-            seen.add(utt)
-            ids.append(utt)
-            speakers.append(None if spk == "-" else spk)
-            rows.append(values)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            m = re.match(r"#\s*embeddings\s+d=(\d+)", line)
+            if m:
+                header_dim = int(m.group(1))
+            continue
+        fields = line.split(" ")
+        if len(fields) < 3:
+            raise ParseError(f"{path}:{lineno}: expected id, speaker and values")
+        utt, spk = fields[0], fields[1]
+        try:
+            values = np.array([float(x) for x in fields[2:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad float field ({exc})") from None
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise ParseError(
+                f"{path}:{lineno}: dimension {values.size} != {dim} of first row"
+            )
+        if utt in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate utterance_id {utt!r}")
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value in embedding {utt!r}")
+        seen.add(utt)
+        ids.append(utt)
+        speakers.append(None if spk == "-" else spk)
+        rows.append(values)
     if dim is None:
         if header_dim:
             return Dataset((), (), np.zeros((0, header_dim)))

@@ -171,21 +171,25 @@ def evaluate_trials(scores, trials: Trials) -> EvalReport:
 
 
 def load_trials(path) -> Trials:
-    """Trial list: `<model_id> <test_utterance_id> <target|nontarget>` per
-    line, in any order, each pair once; returned sorted by (model, test)."""
-    key_of, first_line = {}, {}
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if len(fields) != 3 or fields[2] not in ("target", "nontarget"):
-                raise ParseError(f"{path}:{lineno}: expected '<model> <test> <target|nontarget>'")
-            pair = (fields[0], fields[1])
-            if pair in key_of:
-                raise ParseError(f"{path}:{lineno}: trial '{fields[0]} {fields[1]}' "
-                                 f"repeats line {first_line[pair]}")
-            key_of[pair], first_line[pair] = fields[2], lineno
+        return parse_trials(fh, path)
+
+
+def parse_trials(lines, path) -> Trials:
+    """Trial list file `path` from its lines, `<model_id> <test_utterance_id>
+    <target|nontarget>` each, in any order, each pair once; sorted by (model, test)."""
+    key_of, first_line = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 3 or fields[2] not in ("target", "nontarget"):
+            raise ParseError(f"{path}:{lineno}: expected '<model> <test> <target|nontarget>'")
+        pair = (fields[0], fields[1])
+        if pair in key_of:
+            raise ParseError(f"{path}:{lineno}: trial '{fields[0]} {fields[1]}' "
+                             f"repeats line {first_line[pair]}")
+        key_of[pair], first_line[pair] = fields[2], lineno
     if not key_of:
         raise ParseError(f"{path}: no trials found")
     models, tests = zip(*sorted(key_of))

@@ -186,7 +186,8 @@ def test_acceptance_6_normalization_contract(verdict):
 # --- 7: end-to-end synthetic experiment -------------------------------------
 
 def _eer_from_report(path):
-    first = open(path).readline().split()
+    with open(path) as fh:
+        first = fh.readline().split()
     return float(first[0].split("=", 1)[1])
 
 

@@ -1,10 +1,14 @@
+import builtins
 import hashlib
 import os
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_experiment, subset
+from spkdbn import cli
 from spkdbn.cli import (
     ExperimentConfig,
     PipelineError,
@@ -61,6 +65,15 @@ def test_config_file_overrides_and_presets(tmp_path):
     assert multi.grbm_lr == 0.014
     assert multi.hidden_size == 512
     assert multi.ft_weight_decay == 0.0012
+
+
+def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("out=a\n# comment\ntask=single\nout=b\n")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg_file}:4: key 'out' repeats line 1")):
+        parse_config_file(cfg_file)
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert "key 'out' repeats line 1" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
@@ -292,3 +305,129 @@ def test_cli_trial_order_does_not_change_the_outputs(tmp_path):
     for system in ("dnn", "baseline", "fused"):
         for name in (f"scores_{system}.txt", f"report_{system}.txt", f"det_{system}.csv"):
             assert _file_hash(tmp_path / "out" / name) == _file_hash(pairs["out"] + "/" + name)
+
+
+INPUTS = ("background", "enroll", "test", "trials")
+
+
+def test_run_opens_each_input_twice_and_parses_it_once(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    name_of = {pairs[key]: key for key in INPUTS}
+    opens, parses = Counter(), Counter()
+    real_open = builtins.open
+
+    def spy_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) in name_of:
+            opens[name_of[os.fspath(file)]] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counted(parse):
+        def wrapper(lines, path):
+            parses[name_of[path]] += 1
+            return parse(lines, path)
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(cli, "parse_embeddings", counted(cli.parse_embeddings))
+    monkeypatch.setattr(cli.evaluation, "parse_trials", counted(cli.evaluation.parse_trials))
+    assert main(["run", "--config", cfg_file]) == 0
+    assert opens == dict.fromkeys(INPUTS, 2)   # hashed once, parsed once
+    assert parses == dict.fromkeys(INPUTS, 1)
+
+
+def test_input_rewritten_after_the_stamp_fails_the_stage_that_parses_it(tmp_path, monkeypatch,
+                                                                         capsys):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    original = (tmp_path / "exp" / "background.txt").read_bytes()
+    background = load_embeddings(pairs["background"])
+    real_stage = cli._stage
+
+    def rewrite_before_train_udbn(name, *args):
+        if name == "train-udbn":
+            save_embeddings(Dataset(background.ids, background.speakers, -background.vectors),
+                            pairs["background"])
+        return real_stage(name, *args)
+
+    monkeypatch.setattr(cli, "_stage", rewrite_before_train_udbn)
+    assert main(["run", "--config", cfg_file]) == 1
+    err = capsys.readouterr().err
+    assert f"stage train-udbn: input file {pairs['background']} changed" in err
+    assert os.listdir(pairs["out"]) == []     # no artifact and no stamp
+
+    # On the restored bytes the stage trains afresh, as in a new directory.
+    monkeypatch.undo()
+    (tmp_path / "exp" / "background.txt").write_bytes(original)
+    assert main(["train-udbn", "--config", cfg_file]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["train-udbn", "--config", cfg_file, "--override", f"out={fresh}"]) == 0
+    assert _file_hash(fresh / "udbn.dbn") == _file_hash(os.path.join(pairs["out"], "udbn.dbn"))
+
+
+def test_crlf_inputs_give_identical_scores_reports_and_det_files(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    crlf = dict(pairs, out=str(tmp_path / "crlf_out"))
+    for key in INPUTS:
+        crlf[key] = str(tmp_path / f"crlf_{key}.txt")
+        with open(pairs[key], "rb") as src, open(crlf[key], "wb") as dst:
+            dst.write(src.read().replace(b"\n", b"\r\n"))
+    run_pipeline(resolve_config(pairs))
+    run_pipeline(resolve_config(crlf))
+    for system in ("dnn", "baseline", "fused"):
+        for name in (f"scores_{system}.txt", f"report_{system}.txt", f"det_{system}.csv"):
+            assert _file_hash(os.path.join(crlf["out"], name)) == \
+                _file_hash(os.path.join(pairs["out"], name)), name
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train-udbn", "--config", cfg_file, "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not os.path.exists(pairs["out"])
+
+
+def test_train_speakers_starts_at_most_one_worker_per_speaker(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    for cmd in STAGE_COMMANDS[:3]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    assert main(["train-speakers", "--config", cfg_file, "--jobs", "64"]) == 0
+    assert sizes == [4]
+
+
+def test_speakers_with_identical_enrollment_get_different_models(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    enroll = load_embeddings(pairs["enroll"])
+    vectors = enroll.vectors.copy()
+    vectors[1] = vectors[0]
+    save_embeddings(Dataset(enroll.ids, enroll.speakers, vectors), pairs["enroll"])
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    for cmd in STAGE_COMMANDS[:4]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    models = tmp_path / "exp" / "out" / "models"
+    a, b = enroll.speakers[:2]
+    assert a != b
+    assert _file_hash(models / f"{a}.dnn") != _file_hash(models / f"{b}.dnn")
