@@ -96,8 +96,20 @@ class ExperimentConfig:
             raise ValueError(f"task must be 'single' or 'multi', got {self.task!r}")
         if not 1 <= self.depth <= 3:
             raise ValueError("depth must be in 1..3")
+        if self.hidden_size < 1:
+            raise ValueError("hidden_size must be >= 1")
         if self.init_mode not in ("dbn", "random"):
             raise ValueError(f"init_mode must be 'dbn' or 'random', got {self.init_mode!r}")
+        balance.ImpostorSelectionConfig(self.impostor_n, self.impostor_kappa)
+        if not 1 <= self.num_centroids <= self.impostor_kappa:
+            raise ValueError(f"num_centroids={self.num_centroids} must be in "
+                             f"1..impostor_kappa={self.impostor_kappa}")
+        if self.num_minibatches < 1 or self.num_centroids % self.num_minibatches:
+            raise ValueError(f"num_centroids={self.num_centroids} not divisible into "
+                             f"num_minibatches={self.num_minibatches} minibatches")
+        _rbm_configs(self)
+        _adapt_configs(self, seed=0)
+        _fine_tune_config(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -301,6 +313,24 @@ def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
     return cfgs
 
 
+def _adapt_configs(cfg: ExperimentConfig, seed: int) -> list[RbmTrainConfig]:
+    """One RbmTrainConfig per adapted layer; seed is the speaker's stream seed."""
+    if not 0 <= cfg.adapt_layers <= cfg.depth:
+        raise ValueError(f"adapt_layers must be in 0..depth={cfg.depth}, got {cfg.adapt_layers}")
+    if min(len(cfg.adapt_lr), len(cfg.adapt_epochs)) < cfg.adapt_layers:
+        raise ValueError(f"adapt_lr and adapt_epochs need a value per adapted layer "
+                         f"(adapt_layers={cfg.adapt_layers})")
+    return [RbmTrainConfig(learning_rate=cfg.adapt_lr[k], epochs=cfg.adapt_epochs[k],
+                           momentum=cfg.adapt_momentum, weight_decay=cfg.adapt_weight_decay,
+                           seed=seed)
+            for k in range(cfg.adapt_layers)]
+
+
+def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
+    return dnn.FineTuneConfig(learning_rate=cfg.ft_lr, epochs=cfg.ft_epochs,
+                              momentum=cfg.ft_momentum, weight_decay=cfg.ft_weight_decay)
+
+
 def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     model = udbn.train_udbn(inputs.background.vectors, [cfg.hidden_size] * cfg.depth,
                             _rbm_configs(cfg))
@@ -347,27 +377,13 @@ def _train_one_speaker(args) -> str:
         raise ValueError(f"speaker {speaker_id}: {exc}") from exc
     spk_seed = derive_seed(cfg.master_seed, speaker_id)
     if cfg.init_mode == "dbn":
-        base = udbn.load_dbn(udbn_path)
-        adapt_cfg = udbn.AdaptConfig(
-            layers_to_adapt=min(cfg.adapt_layers, cfg.depth),
-            learning_rates=tuple(cfg.adapt_lr),
-            epochs=tuple(cfg.adapt_epochs),
-            momentum=cfg.adapt_momentum,
-            weight_decay=cfg.adapt_weight_decay,
-            seed=spk_seed,
-        )
-        adapted = udbn.adapt_udbn(base, plan.matrices(), adapt_cfg)
+        adapted = udbn.adapt_udbn(udbn.load_dbn(udbn_path), plan.matrices(),
+                                  _adapt_configs(cfg, spk_seed))
         model = dnn.init_from_dbn(adapted, seed=derive_seed(spk_seed, "output"))
     else:
         sizes = [targets.shape[1]] + [cfg.hidden_size] * cfg.depth + [2]
         model = dnn.init_random(sizes, seed=spk_seed)
-    ft_cfg = dnn.FineTuneConfig(
-        learning_rate=cfg.ft_lr,
-        epochs=cfg.ft_epochs,
-        momentum=cfg.ft_momentum,
-        weight_decay=cfg.ft_weight_decay,
-    )
-    trained = dnn.train_speaker_dnn(model, plan, ft_cfg)
+    trained = dnn.train_speaker_dnn(model, plan, _fine_tune_config(cfg))
     dnn.save_dnn(trained, model_path)
     return speaker_id
 

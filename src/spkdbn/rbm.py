@@ -226,14 +226,21 @@ def train_rbm(data, cfg: RbmTrainConfig, kind: str, n_hidden: int):
     if n == 0:
         raise ValueError("empty training data")
     rbm = init_rbm(d, n_hidden, kind, cfg.seed)
-    velocity = RbmVelocity.zeros_like(rbm)
-    rng = np.random.default_rng([cfg.seed, 1])
     batches = [X[i : i + cfg.minibatch_size] for i in range(0, n, cfg.minibatch_size)]
+    return rbm, _cd1_epochs(rbm, batches, cfg, np.random.default_rng([cfg.seed, 1]))
+
+
+def _cd1_epochs(rbm: RbmParams, batches, cfg: RbmTrainConfig,
+                rng: np.random.Generator) -> list[float]:
+    """cfg.epochs passes of `cd1_step` over the batches in order, in place,
+    from zero momentum.  Returns the mean squared reconstruction error of
+    each epoch."""
+    velocity = RbmVelocity.zeros_like(rbm)
+    n = sum(batch.shape[0] for batch in batches)
     errors = []
     for epoch in range(cfg.epochs):
         err_sum = 0.0
         for batch in batches:
-            err = cd1_step(rbm, batch, cfg, velocity, rng, epoch=epoch)
-            err_sum += err * batch.shape[0]
+            err_sum += cd1_step(rbm, batch, cfg, velocity, rng, epoch=epoch) * batch.shape[0]
         errors.append(err_sum / n)
-    return rbm, errors
+    return errors

@@ -4,7 +4,9 @@ The universal model is a stack of RBMs trained unsupervised on all
 background embeddings (Gaussian visible units at the bottom, Bernoulli
 above).  Its parameters are normalized into the random-init dynamic
 range and then lightly re-trained (adapted) on each speaker's balanced
-data to give speaker-specific network initializations.
+data to give speaker-specific network initializations.  Adaptation runs
+the same CD-1 epoch loop as pretraining (`rbm._cd1_epochs`), from the
+normalized parameters and on the speaker's minibatches.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .embeddings import load_arrays, save_arrays
-from .rbm import RbmParams, RbmTrainConfig, RbmVelocity, cd1_step, hidden_probs, train_rbm
+from .rbm import RbmParams, _cd1_epochs, hidden_probs, train_rbm
 
 
 @dataclass
@@ -50,24 +52,6 @@ class DbnParams:
         for layer in self.layers[:upto]:
             out = hidden_probs(layer, out)
         return out
-
-
-@dataclass(frozen=True)
-class AdaptConfig:
-    """Per-layer CD-1 settings for speaker adaptation."""
-
-    layers_to_adapt: int
-    learning_rates: tuple[float, ...]
-    epochs: tuple[int, ...]
-    momentum: float = 0.9
-    weight_decay: float = 0.0002
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.layers_to_adapt < 0:
-            raise ValueError("layers_to_adapt must be >= 0")
-        if len(self.learning_rates) < self.layers_to_adapt or len(self.epochs) < self.layers_to_adapt:
-            raise ValueError("need a learning rate and epoch count per adapted layer")
 
 
 def train_udbn(background, hidden_sizes, cfgs) -> DbnParams:
@@ -111,38 +95,27 @@ def normalize_udbn(dbn: DbnParams) -> DbnParams:
     return DbnParams(layers, normalized=True)
 
 
-def adapt_udbn(udbn_norm: DbnParams, balanced_minibatches, cfg: AdaptConfig) -> DbnParams:
-    """Speaker adaptation: a few CD-1 epochs per layer from UDBN parameters.
+def adapt_udbn(udbn_norm: DbnParams, balanced_minibatches, cfgs) -> DbnParams:
+    """Speaker adaptation: pretraining's CD-1 epochs, run per layer from
+    the normalized UDBN's parameters on the speaker's minibatches.
 
     balanced_minibatches is the speaker's balanced minibatch plan as a
-    list of (m_k, d) arrays; each adapted layer k sees those minibatches
-    propagated through the (already adapted) layers below it.  Layers
-    beyond cfg.layers_to_adapt are copied unchanged.
+    list of (m_k, d) arrays.  cfgs is one RbmTrainConfig per adapted
+    layer, from the bottom; layer k runs on a generator seeded
+    [cfgs[k].seed, k] and sees the minibatches propagated through the
+    already adapted layers below it.  Layers above the last config are
+    copied unchanged.
     """
-    if cfg.layers_to_adapt > len(udbn_norm.layers):
-        raise ValueError(
-            f"layers_to_adapt={cfg.layers_to_adapt} exceeds DBN depth {len(udbn_norm.layers)}"
-        )
+    cfgs = list(cfgs)
+    if len(cfgs) > len(udbn_norm.layers):
+        raise ValueError(f"{len(cfgs)} adapted layers exceed DBN depth {len(udbn_norm.layers)}")
     batches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in balanced_minibatches]
     if not batches:
         raise ValueError("no balanced minibatches given")
     adapted = udbn_norm.copy()
-    for k in range(cfg.layers_to_adapt):
-        layer = adapted.layers[k]
+    for k, cfg in enumerate(cfgs):
         inputs = [adapted.propagate(b, upto=k) for b in batches]
-        layer_cfg = RbmTrainConfig(
-            learning_rate=cfg.learning_rates[k],
-            epochs=cfg.epochs[k],
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            minibatch_size=max(b.shape[0] for b in inputs),
-            seed=cfg.seed,
-        )
-        velocity = RbmVelocity.zeros_like(layer)
-        rng = np.random.default_rng([cfg.seed, k])
-        for epoch in range(cfg.epochs[k]):
-            for batch in inputs:
-                cd1_step(layer, batch, layer_cfg, velocity, rng, epoch=epoch)
+        _cd1_epochs(adapted.layers[k], inputs, cfg, np.random.default_rng([cfg.seed, k]))
     return adapted
 
 

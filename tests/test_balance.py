@@ -99,6 +99,14 @@ def test_kmeans_objective_nonincreasing_and_deterministic():
     assert np.array_equal(kmeans_cosine(X, 4, seed=0), kmeans_cosine(X, 4, seed=0))
 
 
+def test_kmeans_refills_a_cluster_left_empty_by_duplicate_points():
+    # Two distinct directions and k=3: one cluster is empty after the first
+    # assignment, and its centroid is the mean of no vectors unless refilled.
+    X = np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]] * 3)
+    for seed in range(20):
+        assert np.all(np.isfinite(kmeans_cosine(X, k=3, seed=seed))), seed
+
+
 def test_kmeans_validation():
     with pytest.raises(ValueError):
         kmeans_cosine(np.zeros((0, 2)), 1, seed=0)

@@ -242,6 +242,30 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "missing input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"ft_momentum": "1"},
+    {"ft_epochs": "-1"},
+    {"adapt_momentum": "1.5"},
+    {"depth": "2", "adapt_lr": "0.001"},   # single-2L adapts two layers
+    {"adapt_epochs": "0"},
+    {"adapt_layers": "2"},                 # depth 1
+    {"adapt_layers": "-1"},
+    {"num_centroids": "13"},               # 3 minibatches
+    {"num_centroids": "0"},
+    {"impostor_kappa": "6"},               # fewer impostors than the 12 centroids
+    {"impostor_n": "0"},
+    {"impostor_kappa": "0"},
+    {"grbm_epochs": "0"},
+    {"hidden_size": "0"},
+], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys, bad):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | bad
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 1
+    assert "stage config:" in capsys.readouterr().err
+    assert not os.path.exists(pairs["out"])
+
+
 def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
     pairs = make_experiment(tmp_path / "exp")
     cfg_file = tmp_path / "exp.cfg"

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from spkdbn.rbm import RbmParams, RbmTrainConfig, hidden_probs, train_rbm
+from spkdbn.rbm import RbmParams, RbmTrainConfig, RbmVelocity, cd1_step, hidden_probs, train_rbm
 from spkdbn.udbn import (
-    AdaptConfig,
     DbnParams,
     adapt_udbn,
     load_dbn,
@@ -101,9 +100,11 @@ def test_normalize_twice_is_rejected():
         normalize_udbn(norm)
 
 
-def _adapt_cfg(layers=1, seed=0, epochs=(5, 5)):
-    return AdaptConfig(layers_to_adapt=layers, learning_rates=(0.001, 0.0001),
-                       epochs=epochs, momentum=0.9, weight_decay=0.0002, seed=seed)
+def _adapt_cfg(layers=1, seed=0, epochs=(5, 5), lrs=(0.001, 0.0001), momentum=0.9,
+               weight_decay=0.0002):
+    return [RbmTrainConfig(learning_rate=lr, epochs=e, momentum=momentum,
+                           weight_decay=weight_decay, seed=seed)
+            for lr, e in zip(lrs, epochs)][:layers]
 
 
 def _batches(seed=0):
@@ -136,10 +137,34 @@ def test_adapt_differs_per_speaker():
     assert dist > 0.0
 
 
+def test_two_layer_adaptation_matches_a_cd1_reference_loop():
+    # Layer k: fresh momentum, a generator seeded [seed, k], and the batches
+    # propagated through the layers below as already adapted.
+    udbn = normalize_udbn(_random_dbn(7))
+    batches = _batches(11)
+    seed, lrs, epochs = 5, (0.05, 0.1), (3, 2)
+    out = adapt_udbn(udbn, batches, _adapt_cfg(layers=2, seed=seed, epochs=epochs, lrs=lrs,
+                                                momentum=0.5, weight_decay=0.01))
+    ref = udbn.copy()
+    for k in range(2):
+        cfg = RbmTrainConfig(learning_rate=lrs[k], epochs=epochs[k], momentum=0.5,
+                             weight_decay=0.01, seed=seed)
+        layer, velocity = ref.layers[k], RbmVelocity.zeros_like(ref.layers[k])
+        rng = np.random.default_rng([seed, k])
+        inputs = [ref.propagate(b, upto=k) for b in batches]
+        for _ in range(epochs[k]):
+            for x in inputs:
+                cd1_step(layer, x, cfg, velocity, rng)
+    for got, want in zip(out.layers, ref.layers):
+        np.testing.assert_array_equal(got.W, want.W)
+        np.testing.assert_array_equal(got.b_vis, want.b_vis)
+        np.testing.assert_array_equal(got.b_hid, want.b_hid)
+
+
 def test_adapt_depth_check():
     udbn = normalize_udbn(_random_dbn(4))
-    with pytest.raises(ValueError):
-        adapt_udbn(udbn, _batches(), _adapt_cfg(layers=3, epochs=(1, 1, 1)))
+    with pytest.raises(ValueError, match="exceed DBN depth 2"):
+        adapt_udbn(udbn, _batches(), _adapt_cfg(layers=3, epochs=(1, 1, 1), lrs=(0.001,) * 3))
 
 
 def test_dbn_file_roundtrip(tmp_path):
