@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import expit
 
 from .balance import MinibatchPlan
 from .embeddings import load_arrays, save_arrays
-from .rbm import NumericalError
+from .rbm import NumericalError, _sigmoid
 from .udbn import DbnParams
 
 
@@ -128,8 +127,8 @@ def _forward_full(model: DnnModel, X: np.ndarray):
     acts = []
     a = X
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = expit(a @ W + b)
-        acts.append(a)
+        a = a @ W + b
+        acts.append(_sigmoid(a, a))
     z = a @ model.weights[-1] + model.biases[-1]
     return acts, z, _softmax(z)
 

@@ -105,6 +105,9 @@ def _split_scores(scores, keys):
     s, k = np.asarray(scores, dtype=float), np.asarray(keys)
     if s.shape != k.shape:
         raise ValueError("scores and keys differ in length")
+    nan = np.count_nonzero(np.isnan(s))
+    if nan:
+        raise ValueError(f"{nan} of {s.size} scores are NaN")
     tar, non = np.sort(s[k == "target"]), np.sort(s[k == "nontarget"])
     if tar.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
@@ -113,7 +116,8 @@ def _split_scores(scores, keys):
 
 def _operating_points(tar: np.ndarray, non: np.ndarray):
     """Thresholds (ascending) with P_miss and P_fa at each."""
-    s = np.unique(np.concatenate([tar, non]))
+    s = np.sort(np.concatenate([tar, non]))
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]  # distinct scores
     thr = np.concatenate(([-np.inf], (s[:-1] + s[1:]) / 2.0, [np.inf]))
     p_miss = np.searchsorted(tar, thr, side="left") / tar.size
     p_fa = (non.size - np.searchsorted(non, thr, side="left")) / non.size

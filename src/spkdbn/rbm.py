@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.special import expit
 
 VISIBLE_KINDS = ("gaussian", "bernoulli")
 
@@ -125,7 +124,7 @@ def hidden_probs(rbm: RbmParams, v: np.ndarray) -> np.ndarray:
 def _hidden_probs(rbm: RbmParams, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.matmul(v, rbm.W, out=out)
     out += rbm.b_hid
-    return expit(out, out=out)
+    return _sigmoid(out, out)
 
 
 def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -156,7 +155,18 @@ def _reconstruct_visible(rbm: RbmParams, h: np.ndarray, out: np.ndarray) -> np.n
     out += rbm.b_vis
     if rbm.visible_kind == "gaussian":
         return out
-    return expit(out, out=out)
+    return _sigmoid(out, out)
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) into out, which may be x, in that expression's
+    order.  Below x = -709.78 exp(-x) overflows to inf, and 1 / (1 + inf)
+    is the exact limit 0."""
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def cd1_step(

@@ -2,7 +2,10 @@ import builtins
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from spkdbn.embeddings import (
     load_embeddings,
     save_embeddings,
 )
+from spkdbn.evaluation import load_trials, save_scores
 from spkdbn.udbn import load_dbn, normalize_udbn
 
 STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
@@ -266,6 +270,26 @@ def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys,
     assert not os.path.exists(pairs["out"])
 
 
+def test_cli_evaluate_rejects_a_nan_score(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    out = tmp_path / "exp" / "out"
+    out.mkdir()
+    trials = load_trials(pairs["trials"])
+    scores = np.arange(len(trials), dtype=float)
+    for system in ("dnn", "baseline", "fused"):
+        save_scores(scores, trials, out / f"scores_{system}.txt")
+    assert main(["evaluate", "--config", cfg_file]) == 0
+    lines = (out / "scores_baseline.txt").read_text().splitlines()
+    lines[5] = lines[5].rsplit(" ", 1)[0] + " nan"
+    (out / "scores_baseline.txt").write_text("\n".join(lines) + "\n")
+    os.remove(out / "report_baseline.txt")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", cfg_file]) == 1
+    assert f"stage evaluate: 1 of {len(trials)} scores are NaN" in capsys.readouterr().err
+    assert not (out / "report_baseline.txt").exists()
+
+
 def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
     pairs = make_experiment(tmp_path / "exp")
     cfg_file = tmp_path / "exp.cfg"
@@ -455,3 +479,20 @@ def test_speakers_with_identical_enrollment_get_different_models(tmp_path):
     a, b = enroll.speakers[:2]
     assert a != b
     assert _file_hash(models / f"{a}.dnn") != _file_hash(models / f"{b}.dnn")
+
+
+def test_cli_import_and_an_eer_load_no_scipy_and_no_numpy_ma():
+    # modules `import numpy` itself loads (numpy.ma, on numpy 1.x) are not counted
+    code = (
+        "import sys, numpy\n"
+        "preloaded = set(sys.modules)\n"
+        "import spkdbn.cli\n"
+        "from spkdbn.evaluation import compute_eer\n"
+        "compute_eer([1.0, 2.0, 0.5], ['target', 'nontarget', 'target'])\n"
+        "print(*sorted(m for m in set(sys.modules) - preloaded\n"
+        "              if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = Path(cli.__file__).parents[1]
+    result = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []

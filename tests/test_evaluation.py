@@ -52,6 +52,16 @@ def test_eer_requires_both_classes():
         compute_eer([1.0, 2.0], ["target", "target"])
 
 
+@pytest.mark.parametrize("metric", [compute_eer, compute_min_dcf, det_points])
+def test_metrics_reject_a_nan_score(metric):
+    # NaN sorts above every score and compares false: unchecked, these
+    # separable trials report an EER of 1/3 and no error
+    scores = [2.0, 3.0, 4.0, 0.0, 1.0, np.nan]
+    keys = ["target"] * 3 + ["nontarget"] * 3
+    with pytest.raises(ValueError, match="1 of 6 scores are NaN"):
+        metric(scores, keys)
+
+
 def test_min_dcf_trivial_cases():
     dcf, _ = compute_min_dcf([2.0, 3.0, 0.0, 1.0],
                              ["target", "target", "nontarget", "nontarget"])

@@ -1,14 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from spkdbn.rbm import (
     NumericalError,
     RbmParams,
     RbmTrainConfig,
     RbmVelocity,
+    _sigmoid,
     cd1_step,
     hidden_probs,
     init_rbm,
@@ -16,6 +17,11 @@ from spkdbn.rbm import (
     sample_bernoulli,
     train_rbm,
 )
+
+
+def sigmoid(x):
+    """The library's sigmoid in its expression order, for the exact oracles."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def test_init_rbm_contract():
@@ -76,6 +82,24 @@ def test_reconstruct_visible():
     np.testing.assert_allclose(reconstruct_visible(rbm, h), expected, atol=1e-12)
 
 
+def test_sigmoid_edges_are_exact_and_silent():
+    x = np.array([-np.inf, -1000.0, -745.2, -709.8, 0.0, 709.8, 745.2, 1000.0, np.inf])
+    with np.errstate(over="ignore"):
+        want = sigmoid(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(x, np.empty_like(x))
+        in_place = x.copy()
+        assert _sigmoid(in_place, in_place) is in_place
+        with_nan = _sigmoid(np.array([np.nan, 1.0]), np.empty(2))
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(in_place, want)
+    # exp(-x) overflows to inf below x = -709.78, and 1 / (1 + inf) is exactly 0
+    assert got.tolist() == [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0]
+    assert np.isnan(with_nan[0])
+    np.testing.assert_array_equal(with_nan, sigmoid(np.array([np.nan, 1.0])))
+
+
 def _cfg(**kw):
     base = dict(learning_rate=0.1, epochs=1, momentum=0.0, weight_decay=0.0,
                 minibatch_size=10, seed=0)
@@ -113,9 +137,9 @@ def test_cd1_scalar_hand_trace():
     vel = RbmVelocity.zeros_like(rbm)
     eta = 0.1
     cd1_step(rbm, np.array([[v]]), _cfg(learning_rate=eta), vel, np.random.default_rng(0))
-    p1 = expit(bh + v * w)
+    p1 = sigmoid(bh + v * w)
     v_rec = bv + w  # h sampled to 1
-    p2 = expit(bh + v_rec * w)
+    p2 = sigmoid(bh + v_rec * w)
     np.testing.assert_allclose(rbm.W[0, 0], w + eta * (v * p1 - v_rec * p2), atol=1e-12)
     np.testing.assert_allclose(rbm.b_vis[0], bv + eta * (v - v_rec), atol=1e-12)
     np.testing.assert_allclose(rbm.b_hid[0], bh + eta * (p1 - p2), atol=1e-12)
@@ -135,9 +159,9 @@ def test_cd1_momentum_recurrence():
     cd1_step(rbm, np.array([[v]]), cfg, vel, rng)
     d2 = rbm.W[0, 0] - w1
     # second delta = momentum * first delta + eta * fresh gradient
-    p1 = expit(bh1 + v * w1)
+    p1 = sigmoid(bh1 + v * w1)
     v_rec = bv1 + w1
-    p2 = expit(bh1 + v_rec * w1)
+    p2 = sigmoid(bh1 + v_rec * w1)
     np.testing.assert_allclose(d2, mom * d1 + eta * (v * p1 - v_rec * p2), atol=1e-12)
 
 
@@ -197,11 +221,11 @@ def _cd1_oracle(W, b_vis, b_hid, dW, db_vis, db_hid, v, kind, cfg, rng):
     """One CD-1 step written out in the library's expression order; returns
     the new (W, b_vis, b_hid, dW, db_vis, db_hid, error)."""
     m = v.shape[0]
-    ph_data = expit(v @ W + b_hid)
+    ph_data = sigmoid(v @ W + b_hid)
     h = (rng.random(ph_data.shape) < ph_data).astype(float)
     pre = h @ W.T + b_vis
-    v_rec = pre if kind == "gaussian" else expit(pre)
-    ph_rec = expit(v_rec @ W + b_hid)
+    v_rec = pre if kind == "gaussian" else sigmoid(pre)
+    ph_rec = sigmoid(v_rec @ W + b_hid)
     gW = (v.T @ ph_data - v_rec.T @ ph_rec) / m
     gbv = (v - v_rec).mean(axis=0)
     gbh = (ph_data - ph_rec).mean(axis=0)
@@ -220,7 +244,7 @@ def test_cd1_consecutive_steps_match_exact_oracle(kind):
     # a smaller, then a larger minibatch: row buffers are reused, then grown
     batches = [data_rng.normal(size=(rows, 7)) for rows in (4, 3, 6)]
     if kind == "bernoulli":
-        batches = [expit(b) for b in batches]
+        batches = [sigmoid(b) for b in batches]
     cfg = _cfg(learning_rate=0.05, momentum=0.9, weight_decay=0.01)
     state = (rbm.W.copy(), rbm.b_vis.copy(), rbm.b_hid.copy(),
              np.zeros((7, 5)), np.zeros(7), np.zeros(5))
