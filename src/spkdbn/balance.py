@@ -6,7 +6,9 @@ clustered with cosine k-means and the centroids become the negative
 samples.  The centroids are split into equal groups, one per minibatch,
 and each minibatch's target block cycles through the speaker's sessions
 to the group size, so any session count from 1 up to the plan's total
-number of target slots trains.
+number of target slots trains.  A plan is one (K, 2g, d) array of
+minibatches, each g target rows over g impostor rows, plus the (2g, 2)
+one-hot label block that all of them share.
 """
 
 from __future__ import annotations
@@ -140,65 +142,42 @@ def kmeans_cosine(vectors, k: int, seed: int, max_iter: int = 100) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class Minibatch:
-    """One balanced minibatch: equal numbers of targets and impostors."""
-
-    targets: np.ndarray    # (m, d)
-    impostors: np.ndarray  # (m, d)
-
-    def vectors(self) -> np.ndarray:
-        return np.vstack([self.targets, self.impostors])
-
-    def labels(self) -> np.ndarray:
-        """One-hot rows: (1,0) target, (0,1) impostor."""
-        m = self.targets.shape[0]
-        return np.vstack([np.tile([1.0, 0.0], (m, 1)), np.tile([0.0, 1.0], (m, 1))])
-
-
-@dataclass(frozen=True)
 class MinibatchPlan:
-    minibatches: tuple[Minibatch, ...]
+    """A speaker's balanced minibatches.  `batches[k]` is minibatch k, g
+    target rows stacked over g impostor rows; every minibatch shares the
+    one-hot `labels`: (1, 0) per target row, (0, 1) per impostor row."""
 
-    def matrices(self) -> list[np.ndarray]:
-        return [mb.vectors() for mb in self.minibatches]
-
-    def labeled_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(mb.vectors(), mb.labels()) for mb in self.minibatches]
+    batches: np.ndarray  # (K, 2g, d)
+    labels: np.ndarray   # (2g, 2)
 
 
-def build_minibatch_plan(target_vectors, centroids, num_minibatches: int, mode: str) -> MinibatchPlan:
+def build_minibatch_plan(targets, centroids, num_minibatches: int) -> MinibatchPlan:
     """Partition impostor centroids into balanced minibatches.
 
+    targets is the speaker's (n, d) matrix of enrollment vectors.
     Centroids are split into disjoint consecutive groups of equal size.
     Each minibatch's target block has the group size too: minibatch k
-    takes rows (k*group + i) % n, i < group, of the speaker's n stacked
-    targets.  So one target (single mode) is replicated, n == group
-    targets fill every block in order, and any other n cycles through the
-    sessions, each of which appears at least once.
+    takes rows (k*group + i) % n, i < group, of the targets.  So one
+    target is replicated, n == group targets fill every block in order,
+    and any other n cycles through the sessions, each of which appears at
+    least once.
     """
-    if mode not in ("single", "multi"):
-        raise ValueError(f"unknown mode {mode!r}")
     C = np.atleast_2d(np.asarray(centroids, dtype=float))
-    targets = [np.asarray(v, dtype=float) for v in target_vectors]
-    if not targets:
-        raise ValueError("no target vectors")
-    if mode == "single" and len(targets) != 1:
-        raise ValueError("single mode takes exactly one target vector")
+    T = np.asarray(targets, dtype=float)
+    if T.ndim != 2 or T.shape[0] == 0:
+        raise ValueError(f"targets must be a non-empty (n, d) matrix, got shape {T.shape}")
     if num_minibatches < 1:
         raise ValueError("num_minibatches must be >= 1")
     if C.shape[0] % num_minibatches != 0:
         raise ValueError(
             f"{C.shape[0]} centroids not divisible into {num_minibatches} minibatches"
         )
-    group = C.shape[0] // num_minibatches
-    T, n = np.stack(targets), len(targets)
+    group, n = C.shape[0] // num_minibatches, T.shape[0]
     if n > group * num_minibatches:
         raise ValueError(
             f"{n} target vectors exceed the {group * num_minibatches} target slots "
             f"of {num_minibatches} minibatches"
         )
-    minibatches = tuple(
-        Minibatch(T[(k * group + np.arange(group)) % n], C[k * group : (k + 1) * group].copy())
-        for k in range(num_minibatches)
-    )
-    return MinibatchPlan(minibatches)
+    rows = np.arange(group * num_minibatches).reshape(num_minibatches, group) % n
+    batches = np.concatenate([T[rows], C.reshape(num_minibatches, group, -1)], axis=1)
+    return MinibatchPlan(batches, np.repeat(np.eye(2), group, axis=0))

@@ -38,9 +38,7 @@ from .embeddings import (
     load_embeddings,
     parse_embeddings,
     save_embeddings,
-    save_whitener,
 )
-from .presets import preset_defaults
 from .rbm import RbmTrainConfig
 
 
@@ -112,6 +110,20 @@ class ExperimentConfig:
         _fine_tune_config(self)
 
 
+# Published hyperparameters per (task, depth) that differ from the field
+# defaults above.  Explicit config keys and CLI overrides win over them.
+_PRESETS = {
+    ("single", 1): {},
+    ("single", 2): {"impostor_kappa": 300, "adapt_layers": 2, "adapt_lr": (0.001, 0.0001),
+                    "adapt_epochs": (20, 15), "ft_lr": 0.005, "ft_epochs": 100},
+    ("single", 3): {"impostor_kappa": 500, "adapt_layers": 2, "adapt_lr": (0.001, 0.0001),
+                    "adapt_epochs": (15, 20), "ft_lr": 0.08, "ft_epochs": 500},
+    ("multi", 1): {"num_centroids": 24},
+    ("multi", 2): {"impostor_kappa": 300, "num_centroids": 24, "ft_lr": 0.01, "ft_epochs": 100},
+    ("multi", 3): {"impostor_kappa": 500, "num_centroids": 24, "adapt_epochs": (25,),
+                   "ft_lr": 0.08, "ft_epochs": 500},
+}
+
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _TUPLE_FLOAT_KEYS = {"adapt_lr"}
 _TUPLE_INT_KEYS = {"adapt_epochs"}
@@ -153,12 +165,8 @@ def resolve_config(pairs: dict, overrides: dict | None = None) -> ExperimentConf
     merged = dict(pairs)
     merged.update(overrides or {})
     typed = {k: _coerce(k, v) for k, v in merged.items()}
-    task = typed.get("task", "single")
-    depth = typed.get("depth", 1)
-    defaults = preset_defaults(task, depth)
-    for key, value in defaults.items():
-        typed.setdefault(key, value)
-    return ExperimentConfig(**typed)
+    preset = _PRESETS.get((typed.get("task", "single"), typed.get("depth", 1)), {})
+    return ExperimentConfig(**(preset | typed))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -225,8 +233,6 @@ class _Paths:
     def selected(self): return os.path.join(self.out, "selected_impostors.txt")
     @property
     def centroids(self): return os.path.join(self.out, "centroids.txt")
-    @property
-    def whitener(self): return os.path.join(self.out, "whitener.npz")
     @property
     def models_dir(self): return os.path.join(self.out, "models")
     @property
@@ -358,26 +364,19 @@ def stage_cluster(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None
     save_embeddings(Dataset(ids, (None,) * len(ids), centroids), paths.centroids)
 
 
-def _build_plan(cfg: ExperimentConfig, targets: np.ndarray, centroids: np.ndarray):
-    if cfg.task == "single":
-        if targets.shape[0] != 1:
-            raise ValueError(
-                f"single task needs exactly 1 enrollment vector per speaker, got {targets.shape[0]}"
-            )
-        return balance.build_minibatch_plan([targets[0]], centroids, cfg.num_minibatches, "single")
-    return balance.build_minibatch_plan(list(targets), centroids, cfg.num_minibatches, "multi")
-
-
 def _train_one_speaker(args) -> str:
     """Worker: adapt (optionally) and fine-tune one speaker's DNN."""
     cfg, speaker_id, targets, centroids, udbn_path, model_path = args
     try:
-        plan = _build_plan(cfg, targets, centroids)
+        if cfg.task == "single" and targets.shape[0] != 1:
+            raise ValueError(f"single task needs exactly 1 enrollment vector per speaker, "
+                             f"got {targets.shape[0]}")
+        plan = balance.build_minibatch_plan(targets, centroids, cfg.num_minibatches)
     except ValueError as exc:
         raise ValueError(f"speaker {speaker_id}: {exc}") from exc
     spk_seed = derive_seed(cfg.master_seed, speaker_id)
     if cfg.init_mode == "dbn":
-        adapted = udbn.adapt_udbn(udbn.load_dbn(udbn_path), plan.matrices(),
+        adapted = udbn.adapt_udbn(udbn.load_dbn(udbn_path), plan.batches,
                                   _adapt_configs(cfg, spk_seed))
         model = dnn.init_from_dbn(adapted, seed=derive_seed(spk_seed, "output"))
     else:
@@ -430,7 +429,6 @@ def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> No
 def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     test, trials, groups = inputs.test, inputs.trials, inputs.speakers
     whitener = fit_whitener(inputs.background.vectors)
-    save_whitener(whitener, paths.whitener)
     scores = np.empty(len(trials))
     for model_id, block in _model_blocks(trials, groups).items():
         scores[block] = [evaluation.score_baseline(groups[model_id], x, whitener)
@@ -467,7 +465,7 @@ STAGES = (
      lambda cfg, paths, inputs, jobs: stage_train_speakers(cfg, paths, inputs, jobs)),
     ("score", lambda paths, inputs: [paths.scores("dnn")],
      lambda cfg, paths, inputs, jobs: stage_score_dnn(cfg, paths, inputs)),
-    ("score-baseline", lambda paths, inputs: [paths.scores("baseline"), paths.whitener],
+    ("score-baseline", lambda paths, inputs: [paths.scores("baseline")],
      lambda cfg, paths, inputs, jobs: stage_score_baseline(cfg, paths, inputs)),
     ("fuse", lambda paths, inputs: [paths.scores("fused")],
      lambda cfg, paths, inputs, jobs: stage_fuse(cfg, paths, inputs)),

@@ -208,14 +208,13 @@ def backprop_minibatch(
 def train_speaker_dnn(init: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) -> DnnModel:
     """Fine-tune a model over the balanced plan's minibatches, in order,
     for cfg.epochs passes.  The input model is left untouched."""
-    if not plan.minibatches:
+    if len(plan.batches) == 0:
         raise ValueError("empty minibatch plan")
     model = init.copy()
     velocity = DnnVelocity.zeros_like(model)
-    batches = plan.labeled_arrays()
     for _ in range(cfg.epochs):
-        for X, Y in batches:
-            backprop_minibatch(model, X, Y, cfg, velocity)
+        for X in plan.batches:
+            backprop_minibatch(model, X, plan.labels, cfg, velocity)
     return model
 
 

@@ -1,5 +1,5 @@
 """Utterance embedding sets, text I/O, the float64 `.npz` store for model
-and whitener files, synthetic data and whitening.
+files, synthetic data and whitening.
 
 Embeddings are fixed-dimension real vectors with an utterance id and an
 optional speaker label.  A `Dataset` holds a set of them as columns: one
@@ -46,8 +46,7 @@ def save_arrays(path, kind: str, **arrays) -> None:
     """Write named float64 arrays and the format tag `kind` to `path` as an
     uncompressed `.npz` archive; floats round-trip exactly.
 
-    Model and whitener files go through this function and `load_arrays`
-    only.  np.savez is given an open file because it appends `.npz` to a
+    Model files go through this function and `load_arrays` only.  np.savez is given an open file because it appends `.npz` to a
     name that lacks it.
     """
     data = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
@@ -304,17 +303,3 @@ def fit_whitener(background: np.ndarray) -> Whitener:
 def apply_whitener(w: Whitener, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return w.transform @ (v - w.mean)
-
-
-def save_whitener(w: Whitener, path) -> None:
-    """Whitener file: archive tagged `whitener` with `mean` (d,) and
-    `transform` (d, d)."""
-    save_arrays(path, "whitener", mean=w.mean, transform=w.transform)
-
-
-def load_whitener(path) -> Whitener:
-    arrays = load_arrays(path, "whitener")
-    mean, transform = arrays["mean"], arrays["transform"]
-    if mean.ndim != 1 or transform.shape != (mean.size, mean.size):
-        raise ParseError(f"{path}: whitener dimensions inconsistent with d={mean.size}")
-    return Whitener(mean, transform)

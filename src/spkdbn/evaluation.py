@@ -5,14 +5,17 @@ sorted by (model, test), the only trial order: a score set is a float64
 vector whose element i scores trial i, and a score file is in that order.
 
 Scores are similarity-oriented throughout (higher = more target-like).
-The threshold sweep takes the midpoints between consecutive distinct
-scores plus -inf/+inf sentinels, which covers every achievable operating
-point; a trial is accepted when its score >= threshold.
+The threshold sweep takes a threshold between each pair of consecutive
+distinct scores (their midpoint, or the higher score where the midpoint
+does not fall above the lower one) plus -inf/+inf sentinels, which covers
+every achievable operating point; a trial is accepted when its score >=
+threshold.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 from dataclasses import dataclass
@@ -118,7 +121,12 @@ def _operating_points(tar: np.ndarray, non: np.ndarray):
     """Thresholds (ascending) with P_miss and P_fa at each."""
     s = np.sort(np.concatenate([tar, non]))
     s = s[np.concatenate(([True], s[1:] != s[:-1]))]  # distinct scores
-    thr = np.concatenate(([-np.inf], (s[:-1] + s[1:]) / 2.0, [np.inf]))
+    lo, hi = s[:-1], s[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mid = (lo + hi) / 2.0
+    # The midpoint separates lo from hi unless it is NaN (-inf, +inf),
+    # equals lo (-inf, finite) or rounds to lo (adjacent doubles); then hi does.
+    thr = np.concatenate(([-np.inf], np.where((lo < mid) & (mid <= hi), mid, hi), [np.inf]))
     p_miss = np.searchsorted(tar, thr, side="left") / tar.size
     p_fa = (non.size - np.searchsorted(non, thr, side="left")) / non.size
     return thr, p_miss, p_fa
@@ -211,8 +219,9 @@ def save_scores(scores, trials: Trials, path) -> None:
 
 def load_scores(path, trials: Trials) -> np.ndarray:
     """The score vector of a file that scores every trial once, in trial
-    order.  A line that does not score the next trial, a line past the
-    last trial or a missing line raises ParseError naming the line."""
+    order.  A line that does not score the next trial, a non-finite score,
+    a line past the last trial or a missing line raises ParseError naming
+    the line."""
     scores = np.empty(len(trials))
     i = lineno = 0
     with open(path) as fh:
@@ -226,9 +235,12 @@ def load_scores(path, trials: Trials) -> np.ndarray:
             if len(fields) != 3 or fields[:2] != want:
                 raise ParseError(f"{path}:{lineno}: expected '{want[0]} {want[1]} <score>'")
             try:
-                scores[i] = float(fields[2])
+                score = float(fields[2])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad score field") from None
+            if not math.isfinite(score):
+                raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
+            scores[i] = score
             i += 1
     if i < len(trials):
         raise ParseError(f"{path}:{lineno + 1}: missing '{trials.models[i]} {trials.tests[i]}'")

@@ -95,12 +95,12 @@ def normalize_udbn(dbn: DbnParams) -> DbnParams:
     return DbnParams(layers, normalized=True)
 
 
-def adapt_udbn(udbn_norm: DbnParams, balanced_minibatches, cfgs) -> DbnParams:
+def adapt_udbn(udbn_norm: DbnParams, batches, cfgs) -> DbnParams:
     """Speaker adaptation: pretraining's CD-1 epochs, run per layer from
     the normalized UDBN's parameters on the speaker's minibatches.
 
-    balanced_minibatches is the speaker's balanced minibatch plan as a
-    list of (m_k, d) arrays.  cfgs is one RbmTrainConfig per adapted
+    batches is the (K, m, d) array of the speaker's balanced minibatches
+    (`MinibatchPlan.batches`).  cfgs is one RbmTrainConfig per adapted
     layer, from the bottom; layer k runs on a generator seeded
     [cfgs[k].seed, k] and sees the minibatches propagated through the
     already adapted layers below it.  Layers above the last config are
@@ -109,9 +109,9 @@ def adapt_udbn(udbn_norm: DbnParams, balanced_minibatches, cfgs) -> DbnParams:
     cfgs = list(cfgs)
     if len(cfgs) > len(udbn_norm.layers):
         raise ValueError(f"{len(cfgs)} adapted layers exceed DBN depth {len(udbn_norm.layers)}")
-    batches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in balanced_minibatches]
-    if not batches:
-        raise ValueError("no balanced minibatches given")
+    batches = np.asarray(batches, dtype=float)
+    if batches.ndim != 3 or len(batches) == 0:
+        raise ValueError(f"minibatches must be a non-empty (K, m, d) array, got shape {batches.shape}")
     adapted = udbn_norm.copy()
     for k, cfg in enumerate(cfgs):
         inputs = [adapted.propagate(b, upto=k) for b in batches]

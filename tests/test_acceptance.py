@@ -148,16 +148,21 @@ def test_acceptance_4_metric_oracles(verdict):
 def test_acceptance_5_balance_invariants(verdict):
     rng = np.random.default_rng(0)
     ok = True
-    for mode, n_targets, n_centroids, per_side in (("single", 1, 12, 4), ("multi", 8, 24, 8)):
-        targets = [rng.normal(size=6) for _ in range(n_targets)]
+    for n_targets, n_centroids, per_side in ((1, 12, 4), (8, 24, 8)):
+        targets = rng.normal(size=(n_targets, 6))
         centroids = rng.normal(size=(n_centroids, 6))
-        plan = build_minibatch_plan(targets, centroids, 3, mode)
-        used = []
-        for mb in plan.minibatches:
-            ok = ok and len(mb.targets) == len(mb.impostors) == per_side
-            used.extend(map(tuple, mb.impostors))
+        plan = build_minibatch_plan(targets, centroids, 3)
+        # every minibatch shares the label block: one-hot rows, per_side of each class
+        is_target = plan.labels[:, 0] == 1.0
+        ok = ok and plan.batches.shape == (3, 2 * per_side, 6)
+        ok = ok and plan.labels.shape == (2 * per_side, 2)
+        ok = ok and np.all(plan.labels.sum(axis=1) == 1.0)
+        ok = ok and np.count_nonzero(is_target) == np.count_nonzero(~is_target) == per_side
+        used = [tuple(v) for v in plan.batches[:, ~is_target].reshape(-1, 6)]
         ok = ok and len(used) == n_centroids
         ok = ok and set(used) == set(map(tuple, centroids))
+        drawn = {tuple(v) for v in plan.batches[:, is_target].reshape(-1, 6)}
+        ok = ok and drawn == set(map(tuple, targets))
     verdict(5, "balance invariants", ok, "single 3x12->4+4, multi 3x24->8+8")
 
 

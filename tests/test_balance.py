@@ -41,6 +41,14 @@ def test_select_impostors_saturated_ties():
     assert select_impostors(targets, impostors, cfg) == [0, 1, 2]
 
 
+def test_impostor_frequencies_breaks_a_tie_at_the_cut_by_ascending_index():
+    # impostors 1, 3 and 4 all have cosine 1 with the target; N=2 keeps 1 and 3
+    target = [np.array([1.0, 0.0])]
+    impostors = np.array([[0.0, 1.0], [2.0, 0.0], [-1.0, 0.0], [3.0, 0.0], [0.5, 0.0]])
+    assert impostor_frequencies(target, impostors, 1).tolist() == [0, 1, 0, 0, 0]
+    assert impostor_frequencies(target, impostors, 2).tolist() == [0, 1, 0, 1, 0]
+
+
 def test_select_impostors_matches_bruteforce_oracle():
     rng = np.random.default_rng(42)
     for _ in range(10):
@@ -118,42 +126,35 @@ def test_plan_single_mode_published_shape():
     # 1 target, 12 centroids, 3 minibatches -> 3 batches of 4 copies + 4 centroids
     target = np.array([1.0, 0.0])
     centroids = np.arange(24, dtype=float).reshape(12, 2)
-    plan = build_minibatch_plan([target], centroids, 3, "single")
-    assert len(plan.minibatches) == 3
-    seen = []
-    for mb in plan.minibatches:
-        assert mb.targets.shape == (4, 2)
-        assert mb.impostors.shape == (4, 2)
-        assert np.all(mb.targets == target)
-        seen.append(mb.impostors)
-    np.testing.assert_array_equal(np.vstack(seen), centroids)  # disjoint cover
+    plan = build_minibatch_plan([target], centroids, 3)
+    assert plan.batches.shape == (3, 8, 2)
+    assert np.all(plan.batches[:, :4] == target)
+    np.testing.assert_array_equal(plan.batches[:, 4:].reshape(12, 2), centroids)  # disjoint cover
 
 
 def test_plan_multi_mode_published_shape():
     # 8 targets, 24 centroids, 3 minibatches -> batches of size 16
     rng = np.random.default_rng(6)
-    targets = list(rng.normal(size=(8, 3)))
+    targets = rng.normal(size=(8, 3))
     centroids = rng.normal(size=(24, 3))
-    plan = build_minibatch_plan(targets, centroids, 3, "multi")
-    assert len(plan.minibatches) == 3
-    for mb in plan.minibatches:
-        assert mb.vectors().shape == (16, 3)
-        np.testing.assert_array_equal(mb.targets, np.stack(targets))  # same targets each batch
-    groups = [mb.impostors for mb in plan.minibatches]
-    np.testing.assert_array_equal(np.vstack(groups), centroids)
+    plan = build_minibatch_plan(targets, centroids, 3)
+    assert plan.batches.shape == (3, 16, 3)
+    for batch in plan.batches:
+        np.testing.assert_array_equal(batch[:8], targets)  # same targets each batch
+    np.testing.assert_array_equal(plan.batches[:, 8:].reshape(24, 3), centroids)
 
 
 def test_plan_minimal_and_errors():
-    plan = build_minibatch_plan([np.ones(2)], np.ones((1, 2)), 1, "single")
-    assert plan.minibatches[0].vectors().shape == (2, 2)
-    with pytest.raises(ValueError):
-        build_minibatch_plan([np.ones(2)], np.ones((5, 2)), 3, "single")  # divisibility
-    with pytest.raises(ValueError):
-        build_minibatch_plan([], np.ones((3, 2)), 3, "single")
-    with pytest.raises(ValueError, match="exactly one target"):
-        build_minibatch_plan([np.ones(2)] * 2, np.ones((12, 2)), 3, "single")
+    plan = build_minibatch_plan(np.ones((1, 2)), np.ones((1, 2)), 1)
+    assert plan.batches.shape == (1, 2, 2)
+    with pytest.raises(ValueError, match="not divisible"):
+        build_minibatch_plan(np.ones((1, 2)), np.ones((5, 2)), 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        build_minibatch_plan(np.ones((0, 2)), np.ones((3, 2)), 3)
+    with pytest.raises(ValueError, match="non-empty"):
+        build_minibatch_plan(np.ones(2), np.ones((3, 2)), 3)  # a vector, not a matrix
     with pytest.raises(ValueError, match="13 target vectors exceed the 12 target slots"):
-        build_minibatch_plan([np.ones(2)] * 13, np.ones((12, 2)), 3, "multi")
+        build_minibatch_plan(np.ones((13, 2)), np.ones((12, 2)), 3)
 
 
 def test_plan_multi_mode_fewer_sessions_than_group():
@@ -161,28 +162,24 @@ def test_plan_multi_mode_fewer_sessions_than_group():
     rng = np.random.default_rng(8)
     targets = rng.normal(size=(7, 3))
     centroids = rng.normal(size=(24, 3))
-    plan = build_minibatch_plan(list(targets), centroids, 3, "multi")
-    assert len(plan.minibatches) == 3
-    used = []
-    for k, mb in enumerate(plan.minibatches):
-        assert mb.targets.shape == (8, 3)
-        assert mb.impostors.shape == (8, 3)
-        np.testing.assert_array_equal(mb.targets, targets[(k * 8 + np.arange(8)) % 7])
-        used.extend(map(tuple, mb.targets))
-    assert set(used) == set(map(tuple, targets))  # every session appears
-    np.testing.assert_array_equal(np.vstack([mb.impostors for mb in plan.minibatches]), centroids)
+    plan = build_minibatch_plan(targets, centroids, 3)
+    assert plan.batches.shape == (3, 16, 3)
+    for k, batch in enumerate(plan.batches):
+        np.testing.assert_array_equal(batch[:8], targets[(k * 8 + np.arange(8)) % 7])
+    used = plan.batches[:, :8].reshape(24, 3)
+    assert set(map(tuple, used)) == set(map(tuple, targets))  # every session appears
+    np.testing.assert_array_equal(plan.batches[:, 8:].reshape(24, 3), centroids)
 
 
 def test_plan_multi_mode_more_sessions_than_group():
     # 10 sessions, 3 minibatches of 4 target slots: each session at least once
     targets = np.arange(20.0).reshape(10, 2)
-    plan = build_minibatch_plan(list(targets), np.ones((12, 2)), 3, "multi")
-    stacked = np.vstack([mb.targets for mb in plan.minibatches])
-    np.testing.assert_array_equal(stacked, targets[np.arange(12) % 10])
+    plan = build_minibatch_plan(targets, np.ones((12, 2)), 3)
+    np.testing.assert_array_equal(plan.batches[:, :4].reshape(12, 2), targets[np.arange(12) % 10])
 
 
 def test_plan_labels():
-    plan = build_minibatch_plan([np.ones(2)], np.ones((4, 2)), 2, "single")
-    X, Y = plan.labeled_arrays()[0]
-    assert X.shape == (4, 2)
-    np.testing.assert_array_equal(Y, [[1, 0], [1, 0], [0, 1], [0, 1]])
+    plan = build_minibatch_plan(np.ones((1, 2)), np.ones((4, 2)), 2)
+    assert plan.batches.shape == (2, 4, 2)
+    np.testing.assert_array_equal(plan.labels, [[1, 0], [1, 0], [0, 1], [0, 1]])
+    assert plan.labels.dtype == np.float64

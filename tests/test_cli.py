@@ -22,9 +22,11 @@ from spkdbn.cli import (
     resolve_config,
     run_pipeline,
 )
+from spkdbn.balance import ImpostorSelectionConfig, impostor_frequencies, select_impostors
 from spkdbn.embeddings import (
     Dataset,
     SynthConfig,
+    average_embeddings,
     generate_synthetic,
     load_embeddings,
     save_embeddings,
@@ -69,6 +71,25 @@ def test_config_file_overrides_and_presets(tmp_path):
     assert multi.grbm_lr == 0.014
     assert multi.hidden_size == 512
     assert multi.ft_weight_decay == 0.0012
+
+
+# config_hash of each preset with no other key set.  A preset holds only
+# the values that differ from the ExperimentConfig field defaults, so these
+# digests also change when a default that a preset relies on changes.
+PRESET_HASHES = {
+    ("single", 1): "fbd55e591d2c0063b18d65a9600381ba5f932455439698513791135d87ce4500",
+    ("single", 2): "78c902309ff9ea9cb98d977b1f324ba901835c1034ca7b7d2eb52fb3869c2853",
+    ("single", 3): "07016ebf738daf8228e9e24407342b134e65a70a459a1db1bd35c4e7acc8b26f",
+    ("multi", 1): "412fca4429f37e2d0548583848da84feb06f587f411fcff12455f625e69537d5",
+    ("multi", 2): "5953e5d1b9b00f58c0798fe6500c685628e936166b8880343441ffea32ed2de2",
+    ("multi", 3): "bc831f834dcaecdf817deba478641430575041b5efd124eb132dd8cadefe757d",
+}
+
+
+@pytest.mark.parametrize("task, depth", sorted(PRESET_HASHES))
+def test_preset_config_hash_is_pinned(task, depth):
+    cfg = resolve_config({"task": task, "depth": str(depth)})
+    assert config_hash(cfg) == PRESET_HASHES[(task, depth)]
 
 
 def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
@@ -116,10 +137,11 @@ def test_pipeline_end_to_end_and_artifacts(tmp_path):
     reports = run_pipeline(cfg)
     out = tmp_path / "exp" / "out"
     for name in ("udbn.dbn", "udbn_norm.dbn", "selected_impostors.txt", "centroids.txt",
-                 "whitener.npz", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
+                 "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
                  "report_dnn.txt", "det_dnn.csv"):
         assert (out / name).exists(), name
     assert (out / "models" / "spk0000.dnn").exists()
+    assert not list(out.glob("whitener*"))  # the baseline's whitener is not stored
     assert set(reports) == {"dnn", "baseline", "fused"}
     line = (out / "report_dnn.txt").read_text().splitlines()[0]
     assert line.startswith("eer=")
@@ -286,8 +308,41 @@ def test_cli_evaluate_rejects_a_nan_score(tmp_path, capsys):
     os.remove(out / "report_baseline.txt")
     capsys.readouterr()
     assert main(["evaluate", "--config", cfg_file]) == 1
-    assert f"stage evaluate: 1 of {len(trials)} scores are NaN" in capsys.readouterr().err
+    assert (f"stage evaluate: {out / 'scores_baseline.txt'}:6: non-finite score 'nan'"
+            in capsys.readouterr().err)
     assert not (out / "report_baseline.txt").exists()
+
+
+def test_cli_fuse_rejects_a_nan_score_by_line(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    out = tmp_path / "exp" / "out"
+    out.mkdir()
+    trials = load_trials(pairs["trials"])
+    for system in ("dnn", "baseline"):
+        save_scores(np.arange(len(trials), dtype=float), trials, out / f"scores_{system}.txt")
+    lines = (out / "scores_dnn.txt").read_text().splitlines()
+    lines[6] = lines[6].rsplit(" ", 1)[0] + " nan"
+    (out / "scores_dnn.txt").write_text("\n".join(lines) + "\n")
+    assert main(["fuse", "--config", cfg_file]) == 1
+    assert (f"stage fuse: {out / 'scores_dnn.txt'}:7: non-finite score 'nan'"
+            in capsys.readouterr().err)
+    assert not (out / "scores_fused.txt").exists()
+
+
+def test_cli_select_impostors_stage_uses_the_configured_n(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"impostor_n": "3"}
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["select-impostors", "--config", cfg_file]) == 0
+    background = load_embeddings(pairs["background"])
+    targets = [average_embeddings(v) for v in load_embeddings(pairs["enroll"]).by_speaker().values()]
+    kappa = int(pairs["impostor_kappa"])
+    selected = select_impostors(targets, background.vectors, ImpostorSelectionConfig(3, kappa))
+    freqs = impostor_frequencies(targets, background.vectors, 3)
+    lines = (tmp_path / "exp" / "out" / "selected_impostors.txt").read_text().splitlines()
+    assert lines == [f"{background.ids[i]} {freqs[i]}" for i in selected]
+    # kappa=60 keeps every impostor that a top-3 list names: N * T picks in all
+    assert sum(int(line.split()[1]) for line in lines) == 3 * len(targets)
 
 
 def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):

@@ -212,15 +212,15 @@ def _toy_plan(seed=0):
     rng = np.random.default_rng(seed)
     target = rng.normal(size=3) + 2.0
     centroids = rng.normal(size=(6, 3)) - 2.0
-    return build_minibatch_plan([target], centroids, 3, "single")
+    return build_minibatch_plan(target[None, :], centroids, 3)
 
 
 def test_train_speaker_dnn_reduces_loss_and_is_deterministic():
     plan = _toy_plan()
     init = init_random([3, 8, 2], seed=4)
     cfg = FineTuneConfig(learning_rate=0.05, epochs=50, momentum=0.9, weight_decay=0.0)
-    X = np.vstack([x for x, _ in plan.labeled_arrays()])
-    Y = np.vstack([y for _, y in plan.labeled_arrays()])
+    X = plan.batches.reshape(-1, 3)
+    Y = np.tile(plan.labels, (len(plan.batches), 1))
     before = mean_cross_entropy(init, X, Y)
     trained = train_speaker_dnn(init, plan, cfg)
     after = mean_cross_entropy(trained, X, Y)
@@ -229,6 +229,21 @@ def test_train_speaker_dnn_reduces_loss_and_is_deterministic():
     assert np.all((init.weights[0] >= 0.0) & (init.weights[0] < 0.01))
     trained2 = train_speaker_dnn(init, plan, cfg)
     assert all(np.array_equal(a, b) for a, b in zip(trained.weights, trained2.weights))
+
+
+def test_train_speaker_dnn_steps_through_the_plan_in_order():
+    # each epoch: one step per minibatch, in plan order, all with the shared labels
+    plan = _toy_plan(1)
+    init = init_random([3, 5, 2], seed=2)
+    cfg = FineTuneConfig(learning_rate=0.1, epochs=3, momentum=0.5, weight_decay=0.01)
+    ref, velocity = init.copy(), DnnVelocity.zeros_like(init)
+    for _ in range(cfg.epochs):
+        for k in range(len(plan.batches)):
+            X = np.vstack([plan.batches[k, :2], plan.batches[k, 2:]])
+            backprop_minibatch(ref, X, [[1, 0], [1, 0], [0, 1], [0, 1]], cfg, velocity)
+    trained = train_speaker_dnn(init, plan, cfg)
+    for got, want in zip(trained.weights + trained.biases, ref.weights + ref.biases):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_score_llr_values():

@@ -12,9 +12,7 @@ from spkdbn.embeddings import (
     generate_synthetic,
     length_normalize,
     load_embeddings,
-    load_whitener,
     save_embeddings,
-    save_whitener,
 )
 
 
@@ -205,13 +203,3 @@ def test_whitener_needs_enough_vectors_and_nonsingular_cov():
         fit_whitener(np.stack([v + i for i in range(3)]))
     with pytest.raises(ValueError):
         fit_whitener(np.tile(v, (10, 1)))
-
-
-def test_whitener_roundtrip(tmp_path):
-    ds = _exactly_white_matrix(100, 4, seed=9)
-    w = fit_whitener(ds)
-    p = tmp_path / "w.txt"
-    save_whitener(w, p)
-    back = load_whitener(p)
-    assert np.array_equal(w.mean, back.mean)
-    assert np.array_equal(w.transform, back.transform)

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,22 @@ def test_det_points_properties_and_oracle():
 def test_det_points_perfect_separation_contains_origin():
     pts = det_points([2.0, 3.0, 0.0, 1.0], ["target", "target", "nontarget", "nontarget"])
     assert (0.0, 0.0) in pts
+
+
+def test_threshold_sweep_separates_infinite_and_adjacent_scores():
+    # The midpoint of -inf and +inf is NaN, that of -inf and a finite score
+    # is -inf, and that of two adjacent doubles rounds to the lower one: none
+    # separates the pair, so the higher score is the threshold there.
+    keys = ["target", "nontarget"]
+    above_one = np.nextafter(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compute_eer([np.inf, -np.inf, np.inf, -np.inf], keys * 2) == (0.0, np.inf)
+        assert compute_eer([above_one, 1.0], keys) == (0.0, above_one)
+        assert compute_eer([1.0, -np.inf], keys) == (0.0, 1.0)
+        assert compute_min_dcf([np.inf, -np.inf], keys) == (0.0, np.inf)
+        # at threshold 1.0 the target is accepted and the nontarget rejected
+        assert (0.0, 0.0) in det_points([1.0, -np.inf], keys)
 
 
 def test_mean_var_normalize():
@@ -244,4 +261,13 @@ def test_load_scores_rejects_a_misaligned_file(tmp_path, text, message):
     sp = tmp_path / "scores.txt"
     sp.write_text(text)
     with pytest.raises(ParseError, match=re.escape(f"{sp}{message}")):
+        load_scores(sp, trials)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_scores_rejects_a_non_finite_score(tmp_path, value):
+    trials = Trials(("m1", "m1", "m2"), ("t1", "t2", "t1"), ("target", "nontarget", "nontarget"))
+    sp = tmp_path / "scores.txt"
+    sp.write_text(f"m1 t1 1.0\nm1 t2 {value}\nm2 t1 3.0\n")
+    with pytest.raises(ParseError, match=re.escape(f"{sp}:2: non-finite score '{value}'")):
         load_scores(sp, trials)

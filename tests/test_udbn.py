@@ -40,6 +40,16 @@ def test_train_udbn_stacking_oracle():
     assert np.array_equal(dbn.layers[1].b_hid, layer2_direct.b_hid)
 
 
+def test_train_udbn_depth_three_trains_each_layer_on_the_one_below():
+    X = _toy_data(4)
+    cfgs = [_cfg(1), _cfg(2), _cfg(3)]
+    dbn = train_udbn(X, [8, 6, 4], cfgs)
+    for k, kind in enumerate(("gaussian", "bernoulli", "bernoulli")):
+        direct, _ = train_rbm(dbn.propagate(X, upto=k), cfgs[k], kind, dbn.layers[k].n_hidden)
+        for name in ("W", "b_vis", "b_hid"):
+            np.testing.assert_array_equal(getattr(dbn.layers[k], name), getattr(direct, name))
+
+
 def test_train_udbn_deterministic():
     X = _toy_data(5)
     a = train_udbn(X, [4, 4], [_cfg(1), _cfg(2)])
