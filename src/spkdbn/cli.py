@@ -338,6 +338,14 @@ def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
 
 
 def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    # Checked before any artifact is stamped, which would make the corrected
+    # re-run stop with a config-hash mismatch.
+    m = len(inputs.background)
+    if cfg.impostor_n > m:
+        raise ValueError(f"impostor_n={cfg.impostor_n} exceeds the {m} background vectors")
+    if cfg.num_centroids > min(cfg.impostor_kappa, m):
+        raise ValueError(f"num_centroids={cfg.num_centroids} exceeds the "
+                         f"{min(cfg.impostor_kappa, m)} impostors kept from {m} background vectors")
     model = udbn.train_udbn(inputs.background.vectors, [cfg.hidden_size] * cfg.depth,
                             _rbm_configs(cfg))
     udbn.save_dbn(model, paths.udbn)

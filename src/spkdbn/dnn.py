@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .balance import MinibatchPlan
 from .embeddings import load_arrays, save_arrays
-from .rbm import NumericalError, _sigmoid
+from .rbm import Momentum, NumericalError, _sigmoid
 from .udbn import DbnParams
 
 
@@ -56,36 +56,18 @@ class FineTuneConfig:
     weight_decay: float = 0.0012
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        Momentum.check(self)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
 
 
-@dataclass
-class DnnVelocity:
-    """Per-layer state that `backprop_minibatch` carries from one step to
-    the next.
-
-    `dW` and `db` are the momentum buffers.  `gW` (the weight gradient),
-    `step` (the update term) and `finite` (the isfinite mask of the
-    updated weights) are work buffers of each layer's weight shape, so
-    that a step allocates no weight-sized array.
-    """
-
-    dW: list[np.ndarray]
-    db: list[np.ndarray]
-    gW: list[np.ndarray]
-    step: list[np.ndarray]
-    finite: list[np.ndarray]
+class DnnVelocity(list):
+    """One `Momentum` per layer, over its weights and biases, that
+    `backprop_minibatch` carries from one step to the next."""
 
     @classmethod
     def zeros_like(cls, model: DnnModel) -> "DnnVelocity":
-        return cls([np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases],
-                   [np.zeros_like(W) for W in model.weights], [np.zeros_like(W) for W in model.weights],
-                   [np.zeros(W.shape, dtype=bool) for W in model.weights])
+        return cls(Momentum.zeros_like(W, b) for W, b in zip(model.weights, model.biases))
 
 
 def init_random(layer_sizes, seed: int) -> DnnModel:
@@ -160,12 +142,9 @@ def backprop_minibatch(
 ) -> float:
     """One momentum SGD step on the mean cross-entropy of a minibatch.
 
-    Updates model and velocity in place; weight decay applies to weights
-    only.  Returns the pre-update loss.  Each layer's weight update runs
-    in place in `velocity`'s work buffers, so a step allocates no
-    weight-sized array, and it rounds exactly as the expressions
-    dW = momentum * dW - learning_rate * (gW + weight_decay * W),
-    W = W + dW.
+    Updates model and velocity in place, one `Momentum.descend` per
+    layer, and returns the pre-update loss.  The weight gradients go
+    into `velocity`'s buffers, so a step allocates no weight-sized array.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -181,24 +160,14 @@ def backprop_minibatch(
     delta = (probs - Y) / m
     grads_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(layer_inputs[i].T, delta, out=velocity.gW[i])
+        np.matmul(layer_inputs[i].T, delta, out=velocity[i].gW)
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             a = acts[i - 1]
             delta = (delta @ model.weights[i].T) * a * (1.0 - a)
 
-    for i, gb in enumerate(grads_b):
-        W, dW, step = model.weights[i], velocity.dW[i], velocity.step[i]
-        np.multiply(W, cfg.weight_decay, out=step)
-        step += velocity.gW[i]
-        step *= cfg.learning_rate
-        dW *= cfg.momentum
-        dW -= step
-        velocity.db[i] = cfg.momentum * velocity.db[i] - cfg.learning_rate * gb
-        W += dW
-        model.biases[i] += velocity.db[i]
-        finite = np.isfinite(W, out=velocity.finite[i])
-        if not (finite.all() and np.all(np.isfinite(model.biases[i]))):
+    for W, b, gb, layer in zip(model.weights, model.biases, grads_b, velocity):
+        if not layer.descend(W, (b,), (gb,), cfg):
             raise NumericalError("non-finite DNN parameters after update")
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")

@@ -10,6 +10,8 @@ averaged over the minibatch.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -47,6 +49,59 @@ class RbmParams:
         return RbmParams(self.visible_kind, self.W.copy(), self.b_vis.copy(), self.b_hid.copy())
 
 
+@dataclass
+class Momentum:
+    """Momentum SGD state of one weight matrix and its bias vectors: the
+    momentum buffers `dW` and `db` (one per bias), the weight gradient `gW`
+    that the caller fills before each `descend`, and the work buffers
+    `step` and `finite`, so that a step allocates no weight-sized array."""
+
+    dW: np.ndarray
+    db: list[np.ndarray]
+    gW: np.ndarray
+    step: np.ndarray
+    finite: np.ndarray
+
+    @classmethod
+    def zeros_like(cls, W: np.ndarray, *biases: np.ndarray):
+        return cls(np.zeros_like(W), [np.zeros_like(b) for b in biases], np.zeros_like(W),
+                   np.zeros_like(W), np.zeros(W.shape, dtype=bool))
+
+    @staticmethod
+    def check(cfg) -> None:
+        """Reject a learning_rate, momentum or weight_decay that `descend` cannot use."""
+        if not 0 <= cfg.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {cfg.learning_rate}")
+        if not 0 <= cfg.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {cfg.momentum}")
+        if not 0 <= cfg.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
+
+    def descend(self, W: np.ndarray, biases, grads_b, cfg) -> bool:
+        """One momentum SGD step on the loss whose gradient is (`gW`,
+        grads_b), with weight decay on W only.  Updates W, the biases and
+        the buffers in place, rounding exactly as the expressions
+        dW = momentum * dW - learning_rate * (gW + weight_decay * W),
+        W = W + dW,
+        and, for each bias b with gradient gb,
+        db = momentum * db - learning_rate * gb,
+        b = b + db.
+        Returns whether every updated parameter is finite.
+        """
+        step = np.multiply(W, cfg.weight_decay, out=self.step)
+        step += self.gW
+        step *= cfg.learning_rate
+        self.dW *= cfg.momentum
+        self.dW -= step
+        W += self.dW
+        for b, db, gb in zip(biases, self.db, grads_b):
+            db *= cfg.momentum
+            db -= cfg.learning_rate * gb
+            b += db
+        finite = np.isfinite(W, out=self.finite).all()
+        return bool(finite and all(np.isfinite(b).all() for b in biases))
+
+
 @dataclass(frozen=True)
 class RbmTrainConfig:
     learning_rate: float
@@ -57,44 +112,24 @@ class RbmTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        Momentum.check(self)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         if self.minibatch_size < 1:
             raise ValueError("minibatch_size must be >= 1")
 
 
 @dataclass
-class RbmVelocity:
-    """Per-RBM state that `cd1_step` carries from one step to the next.
+class RbmVelocity(Momentum):
+    """The `Momentum` of an RBM's W and [b_vis, b_hid] that `cd1_step`
+    carries across steps, plus `rows`: the per-row buffers of the largest
+    minibatch seen so far."""
 
-    `dW`, `db_vis` and `db_hid` are the momentum buffers.  The rest are
-    work buffers, so that a step allocates no array of the weights' or
-    of the minibatch activations' size.  `gW` holds the weight gradient,
-    `neg` the negative-phase product, `step` the update term and
-    `finite` the isfinite mask of the updated weights.  `rows` holds the
-    per-row buffers of the largest minibatch seen so far.
-    """
-
-    dW: np.ndarray
-    db_vis: np.ndarray
-    db_hid: np.ndarray
-    gW: np.ndarray
-    neg: np.ndarray
-    step: np.ndarray
-    finite: np.ndarray
     rows: tuple = field(default=(), init=False, repr=False)
 
     @classmethod
     def zeros_like(cls, rbm: RbmParams) -> "RbmVelocity":
-        return cls(np.zeros_like(rbm.W), np.zeros_like(rbm.b_vis), np.zeros_like(rbm.b_hid),
-                   np.zeros_like(rbm.W), np.zeros_like(rbm.W), np.zeros_like(rbm.W),
-                   np.zeros(rbm.W.shape, dtype=bool))
+        return super().zeros_like(rbm.W, rbm.b_vis, rbm.b_hid)
 
     def _minibatch_buffers(self, m: int) -> list[np.ndarray]:
         """(ph_data, h, v_rec, ph_rec, v_err) buffers for an m-row minibatch."""
@@ -177,16 +212,15 @@ def cd1_step(
     rng: np.random.Generator,
     epoch: int = 0,
 ) -> float:
-    """One CD-1 parameter update on a minibatch, in place.
+    """One CD-1 parameter update on a minibatch, in place; returns the
+    minibatch's mean squared reconstruction error.
 
-    Returns the mean squared reconstruction error of the minibatch.
-    Gradients are averaged over the minibatch; weight decay applies to
-    weights only.  The step runs in place in `velocity`'s work buffers,
-    so it allocates no weight- or minibatch-sized array, and it rounds
-    exactly as the expressions
-    gW = (v.T @ ph_data - v_rec.T @ ph_rec) / m,
-    dW = momentum * dW + learning_rate * (gW - weight_decay * W),
-    W = W + dW.
+    `velocity.descend` (see `Momentum.descend`) steps on the negated CD-1
+    gradient gW = (v_rec.T @ ph_rec - v.T @ ph_data) / m, gb_vis =
+    mean(v_rec - v), gb_hid = mean(ph_rec - ph_data); IEEE negation and
+    rounding are symmetric, so this is bit for bit the ascent step on
+    (data - reconstruction) statistics.  No weight- or minibatch-sized
+    array is allocated.
     """
     v = np.atleast_2d(np.asarray(minibatch, dtype=float))
     if v.shape[0] == 0:
@@ -201,25 +235,12 @@ def cd1_step(
     _reconstruct_visible(rbm, h, v_rec)
     _hidden_probs(rbm, v_rec, ph_rec)
 
-    gW = np.matmul(v.T, ph_data, out=velocity.gW)
-    gW -= np.matmul(v_rec.T, ph_rec, out=velocity.neg)
+    gW = np.matmul(v_rec.T, ph_rec, out=velocity.gW)
+    gW -= np.matmul(v.T, ph_data, out=velocity.step)  # descend overwrites step first
     gW /= m
-    gbv = np.subtract(v, v_rec, out=v_err).mean(axis=0)
-    gbh = np.subtract(ph_data, ph_rec, out=h).mean(axis=0)  # h is spent
-
-    step = np.multiply(rbm.W, cfg.weight_decay, out=velocity.step)
-    np.subtract(gW, step, out=step)
-    step *= cfg.learning_rate
-    velocity.dW *= cfg.momentum
-    velocity.dW += step
-    velocity.db_vis = cfg.momentum * velocity.db_vis + cfg.learning_rate * gbv
-    velocity.db_hid = cfg.momentum * velocity.db_hid + cfg.learning_rate * gbh
-
-    rbm.W += velocity.dW
-    rbm.b_vis += velocity.db_vis
-    rbm.b_hid += velocity.db_hid
-    finite = np.isfinite(rbm.W, out=velocity.finite)
-    if not (finite.all() and np.all(np.isfinite(rbm.b_vis)) and np.all(np.isfinite(rbm.b_hid))):
+    gbv = np.subtract(v_rec, v, out=v_err).mean(axis=0)
+    gbh = np.subtract(ph_rec, ph_data, out=h).mean(axis=0)  # h is spent
+    if not velocity.descend(rbm.W, (rbm.b_vis, rbm.b_hid), (gbv, gbh), cfg):
         raise NumericalError(f"non-finite RBM parameters after update (epoch {epoch})")
     return float(np.square(v_err, out=v_err).sum(axis=1).mean())
 

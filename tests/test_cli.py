@@ -283,6 +283,10 @@ def test_cli_error_exit_code(tmp_path, capsys):
     {"impostor_kappa": "0"},
     {"grbm_epochs": "0"},
     {"hidden_size": "0"},
+    {"ft_weight_decay": "-1"},
+    {"ft_lr": "nan"},
+    {"grbm_lr": "nan"},
+    {"adapt_weight_decay": "inf"},
 ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
 def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys, bad):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4) | bad
@@ -290,6 +294,24 @@ def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys,
     assert main(["run", "--config", cfg_file]) == 1
     assert "stage config:" in capsys.readouterr().err
     assert not os.path.exists(pairs["out"])
+
+
+@pytest.mark.parametrize("too_large, message", [
+    ({"impostor_n": "1000"}, "impostor_n=1000 exceeds the 200 background vectors"),
+    ({"impostor_kappa": "300", "num_centroids": "201"}, "num_centroids=201 exceeds"),
+], ids=["impostor_n", "num_centroids"])
+def test_cli_value_too_large_for_the_background_fails_before_the_udbn_is_stamped(
+        tmp_path, capsys, too_large, message):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)   # 200 background vectors
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs | too_large)
+    assert main(["run", "--config", cfg_file]) == 1
+    assert f"stage train-udbn: {message}" in capsys.readouterr().err
+    assert os.listdir(pairs["out"]) == []     # no artifact and no stamp
+
+    # The corrected config resumes in the same directory.
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 0
+    assert os.path.exists(os.path.join(pairs["out"], "report_fused.txt"))
 
 
 def test_cli_evaluate_rejects_a_nan_score(tmp_path, capsys):

@@ -367,7 +367,8 @@ def test_backprop_two_steps_match_exact_oracle():
         Y[np.arange(rows), rng.integers(0, 2, size=rows)] = 1.0
         loss = backprop_minibatch(model, X, Y, cfg, vel)
         *state, expected_loss = _backprop_oracle(*state, X, Y, cfg)
-        for got, want in zip((model.weights, model.biases, vel.dW, vel.db), state):
+        for got, want in zip((model.weights, model.biases, [layer.dW for layer in vel],
+                              [layer.db[0] for layer in vel]), state):
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -382,6 +383,22 @@ def test_backprop_divergence_raises():
     with pytest.raises(NumericalError, match="non-finite DNN parameters"):
         backprop_minibatch(m, np.ones((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), cfg,
                            DnnVelocity.zeros_like(m))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_backprop_bias_overflow_raises_while_the_weights_stay_finite():
+    # hidden units off (a = 0): every weight gradient is exactly 0, the
+    # tied output logits give a finite loss, and only the output bias moves
+    m = _random_model([3, 4, 2], seed=7)
+    m.biases[0][:] = -1e4
+    m.biases[1][:] = 1.7e308
+    weights = [W.copy() for W in m.weights]
+    cfg = FineTuneConfig(learning_rate=1e308, epochs=1, momentum=0.0, weight_decay=0.0)
+    with pytest.raises(NumericalError, match="non-finite DNN parameters"):
+        backprop_minibatch(m, np.ones((2, 3)), np.array([[1.0, 0.0], [1.0, 0.0]]), cfg,
+                           DnnVelocity.zeros_like(m))
+    assert all(np.array_equal(a, b) for a, b in zip(m.weights, weights))
+    assert not np.all(np.isfinite(m.biases[1]))
 
 
 def test_backprop_step_allocates_no_weight_sized_array():

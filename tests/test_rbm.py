@@ -181,6 +181,18 @@ def test_cd1_divergence_raises():
                  RbmVelocity.zeros_like(rbm), np.random.default_rng(0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cd1_bias_overflow_raises_while_the_weights_stay_finite():
+    # hidden units off (p = 0, h = 0) and W = 0: the weight gradient is
+    # exactly 0 and only the visible bias moves, by lr * mean(v - b_vis)
+    rbm = RbmParams("gaussian", np.zeros((2, 2)), np.zeros(2), np.full(2, -1e4))
+    with pytest.raises(NumericalError):
+        cd1_step(rbm, np.full((2, 2), 1e300), _cfg(learning_rate=1e300),
+                 RbmVelocity.zeros_like(rbm), np.random.default_rng(0))
+    assert np.all(rbm.W == 0.0)
+    assert not np.all(np.isfinite(rbm.b_vis))
+
+
 def _bimodal(seed, n=60):
     rng = np.random.default_rng(seed)
     a = rng.normal([2.0, 2.0], 0.3, size=(n // 2, 2))
@@ -253,7 +265,7 @@ def test_cd1_consecutive_steps_match_exact_oracle(kind):
     for batch in batches:
         err = cd1_step(rbm, batch, cfg, vel, rng)
         *state, expected_err = _cd1_oracle(*state, batch, kind, cfg, oracle_rng)
-        for got, want in zip((rbm.W, rbm.b_vis, rbm.b_hid, vel.dW, vel.db_vis, vel.db_hid),
+        for got, want in zip((rbm.W, rbm.b_vis, rbm.b_hid, vel.dW, vel.db[0], vel.db[1]),
                              state):
             np.testing.assert_array_equal(got, want)
         assert err == expected_err

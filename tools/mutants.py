@@ -2,7 +2,7 @@
 
     python3 tools/mutants.py            # every mutant
     python3 tools/mutants.py NAME ...   # only the named ones
-    python3 tools/mutants.py --list     # names and edits, nothing run
+    python3 tools/mutants.py --list     # names and edits; exit 1 if one no longer applies
 
 Run from anywhere; paths are taken relative to this file.  Each mutant
 replaces one fragment of one line of `src/spkdbn/<module>.py`; the
@@ -16,7 +16,8 @@ pass, or no verdict would mean anything.
 
 The tool uses only the standard library and is not part of the test
 suite (`testpaths` does not include `tools/`).  Exit status: 0 when every
-selected mutant is killed, 1 otherwise.
+selected mutant is killed, 1 otherwise; with `--list`, 0 when every
+listed fragment occurs exactly once, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ MUTANTS = {
     # pretraining, normalization and adaptation
     "udbn-layer-on-layer-0-outputs": (
         "udbn", "X = hidden_probs(layer, X)", "X = hidden_probs(layer, X) if k == 0 else X"),
-    "cd1-decay-sign": (
-        "rbm", "np.subtract(gW, step, out=step)", "np.add(gW, step, out=step)"),
-    "cd1-momentum-sign": (
-        "rbm", "velocity.dW *= cfg.momentum", "velocity.dW *= -cfg.momentum"),
+    "cd1-gradient-sign": ("rbm", "gW /= m", "gW /= -m"),
     "unnormalized-udbn-write": (
         "cli", "udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)",
         "udbn.save_dbn(udbn.DbnParams(model.layers, True), paths.udbn_norm)"),
@@ -74,9 +72,13 @@ MUTANTS = {
     # fine-tuning
     "fine-tune-batches-reversed": (
         "dnn", "for X in plan.batches:", "for X in plan.batches[::-1]:"),
-    "dnn-decay-sign": (
-        "dnn", "np.multiply(W, cfg.weight_decay, out=step)",
-        "np.multiply(W, -cfg.weight_decay, out=step)"),
+    # the momentum step shared by CD-1 and fine-tuning
+    "decay-sign": (
+        "rbm", "np.multiply(W, cfg.weight_decay, out=self.step)",
+        "np.multiply(W, -cfg.weight_decay, out=self.step)"),
+    "momentum-sign": ("rbm", "self.dW *= cfg.momentum", "self.dW *= -cfg.momentum"),
+    "no-bias-finite-check": (
+        "rbm", " and all(np.isfinite(b).all() for b in biases)", ""),
     # scoring, fusion and evaluation
     "baseline-unwhitened": ("embeddings", "return w.transform @ (v - w.mean)", "return v"),
     "fusion-ignores-baseline": (
@@ -102,15 +104,22 @@ def _copy_project(dest: str) -> None:
     shutil.copy2(os.path.join(ROOT, "pyproject.toml"), dest)
 
 
-def _apply(dest: str, module: str, fragment: str, replacement: str) -> None:
-    path = os.path.join(dest, "src", "spkdbn", f"{module}.py")
+def _mutated(root: str, module: str, fragment: str, replacement: str) -> tuple[str, str]:
+    """(path, mutated text) of the module under root; ValueError unless the
+    fragment occurs exactly once in it."""
+    path = os.path.join(root, "src", "spkdbn", f"{module}.py")
     with open(path) as fh:
         text = fh.read()
     count = text.count(fragment)
     if count != 1:
         raise ValueError(f"{module}.py holds {count} copies of {fragment!r}, not one")
+    return path, text.replace(fragment, replacement)
+
+
+def _apply(dest: str, *mutant) -> None:
+    path, text = _mutated(dest, *mutant)
     with open(path, "w") as fh:
-        fh.write(text.replace(fragment, replacement))
+        fh.write(text)
 
 
 def _tests_pass(dest: str) -> bool:
@@ -143,10 +152,16 @@ def main(argv=None) -> int:
         parser.error(f"unknown mutant(s): {', '.join(unknown)}")
     names = args.names or list(MUTANTS)
     if args.list:
+        stale = 0
         for name in names:
             module, fragment, replacement = MUTANTS[name]
-            print(f"{name}: {module}.py: {fragment!r} -> {replacement!r}")
-        return 0
+            try:
+                _mutated(ROOT, *MUTANTS[name])
+                print(f"{name}: {module}.py: {fragment!r} -> {replacement!r}")
+            except ValueError as exc:
+                stale += 1
+                print(f"{name}: does not apply: {exc}")
+        return 1 if stale else 0
 
     if _run(None) != "survived":
         print("mutants: the unmutated tests fail; fix them first", file=sys.stderr)
