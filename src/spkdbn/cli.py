@@ -437,10 +437,13 @@ def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> No
 def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     test, trials, groups = inputs.test, inputs.trials, inputs.speakers
     whitener = fit_whitener(inputs.background.vectors)
+    blocks = _model_blocks(trials, groups)
+    utts = list(dict.fromkeys(trials.tests))
+    prepared = {t: evaluation.baseline_vector(x, whitener) for t, x in zip(utts, test.rows(utts))}
     scores = np.empty(len(trials))
-    for model_id, block in _model_blocks(trials, groups).items():
-        scores[block] = [evaluation.score_baseline(groups[model_id], x, whitener)
-                         for x in test.rows(trials.tests[block])]
+    for model_id, block in blocks.items():
+        model = evaluation.baseline_vector(groups[model_id], whitener)
+        scores[block] = [evaluation.score_baseline(model, prepared[t]) for t in trials.tests[block]]
     evaluation.save_scores(scores, trials, paths.scores("baseline"))
 
 

@@ -71,21 +71,18 @@ class EvalReport:
     threshold_at_eer: float
 
 
-def score_baseline(enrolled, test: np.ndarray, whitener: Whitener) -> float:
-    """Cosine similarity between whitened, length-normalized vectors.
-
-    Multi-session enrollment: whiten each enrolled vector, average, then
-    length-normalize; a single enrolled vector reduces to the plain
-    single-session score.
-    """
-    enrolled = np.atleast_2d(np.asarray(enrolled, dtype=float))
-    if enrolled.shape[0] == 0:
+def baseline_vector(vectors, whitener: Whitener) -> np.ndarray:
+    """Whiten each (sessions, d) row, average, length-normalize: a model from
+    its enrollment, a test vector from its one row (whose average is itself)."""
+    vectors = np.atleast_2d(vectors)
+    if vectors.shape[0] == 0:
         raise ValueError("no enrolled vectors")
-    model_vec = length_normalize(
-        average_embeddings([apply_whitener(whitener, e) for e in enrolled])
-    )
-    test_vec = length_normalize(apply_whitener(whitener, np.asarray(test, dtype=float)))
-    return cosine_score(model_vec, test_vec)
+    return length_normalize(average_embeddings([apply_whitener(whitener, v) for v in vectors]))
+
+
+def score_baseline(model: np.ndarray, test: np.ndarray) -> float:
+    """Cosine similarity of two `baseline_vector`s, a model's and a test's."""
+    return cosine_score(model, test)
 
 
 def mean_var_normalize(scores) -> np.ndarray:

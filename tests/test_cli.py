@@ -22,11 +22,17 @@ from spkdbn.cli import (
     resolve_config,
     run_pipeline,
 )
-from spkdbn.balance import ImpostorSelectionConfig, impostor_frequencies, select_impostors
+from spkdbn.balance import (
+    ImpostorSelectionConfig,
+    cosine_score,
+    impostor_frequencies,
+    select_impostors,
+)
 from spkdbn.embeddings import (
     Dataset,
     SynthConfig,
     average_embeddings,
+    fit_whitener,
     generate_synthetic,
     load_embeddings,
     save_embeddings,
@@ -394,9 +400,40 @@ def test_cli_multi_task_trains_a_speaker_with_fewer_sessions(tmp_path):
     assert (out / "models" / "spk0004.dnn").exists()
 
 
+def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=3) | {"task": "multi"}
+    # speakers enroll 1, 2 and 5 sessions; every test id is scored under all three
+    full = generate_synthetic(SynthConfig(3, 8, 50, 1.0, 0.2, seed=5))
+    sessions = {"spk0000": 1, "spk0001": 2, "spk0002": 5}
+    enroll = subset(full, lambda utt: int(utt[-3:]) < sessions[utt[:7]])
+    test = subset(full, lambda utt: int(utt[-3:]) >= 5)
+    save_embeddings(enroll, pairs["enroll"])
+    save_embeddings(Dataset(test.ids, (None,) * len(test), test.vectors), pairs["test"])
+    with open(pairs["trials"], "w") as fh:
+        for spk in sessions:
+            for utt, test_spk in zip(test.ids, test.speakers):
+                fh.write(f"{spk} {utt} {'target' if test_spk == spk else 'nontarget'}\n")
+    assert main(["score-baseline", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 0
+
+    w = fit_whitener(load_embeddings(pairs["background"]).vectors)
+
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    want = []
+    for spk in sessions:
+        enrolled = enroll.vectors[[s == spk for s in enroll.speakers]]
+        model = unit(np.stack([w.transform @ (e - w.mean) for e in enrolled]).mean(axis=0))
+        for utt, t in zip(test.ids, test.vectors):
+            score = cosine_score(model, unit(w.transform @ (t - w.mean)))
+            want.append(f"{spk} {utt} {'%.17g' % score}\n")
+    assert (tmp_path / "exp" / "out" / "scores_baseline.txt").read_text() == "".join(want)
+
+
 @pytest.mark.parametrize("trial, message", [
     ("spk0001 nosuchutt nontarget", "unknown utterance id 'nosuchutt'"),
     ("spk9999 spk0001_sess001 nontarget", "trial model 'spk9999' is not an enrolled speaker"),
+    ("spk9999 nosuchutt nontarget", "trial model 'spk9999' is not an enrolled speaker"),
 ])
 def test_cli_trial_naming_an_unknown_id_is_reported(tmp_path, capsys, trial, message):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)

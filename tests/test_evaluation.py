@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 from oracles import eer_oracle, min_dcf_oracle, sweep_oracle
-from spkdbn.embeddings import ParseError, fit_whitener
+from spkdbn.embeddings import (
+    ParseError,
+    Whitener,
+    apply_whitener,
+    fit_whitener,
+    length_normalize,
+)
 from spkdbn.evaluation import (
     EvalReport,
     Trials,
+    baseline_vector,
     compute_eer,
     compute_min_dcf,
     det_points,
@@ -160,26 +167,28 @@ def _whitener(seed=0, d=4, n=200):
     return fit_whitener(rng.normal(size=(n, d)))
 
 
+def _score(enrolled, test, w):
+    return score_baseline(baseline_vector(enrolled, w), baseline_vector(test, w))
+
+
 def test_score_baseline_self_similarity_and_scale_invariance():
     w = _whitener()
     rng = np.random.default_rng(2)
     v = rng.normal(size=4)
     t = rng.normal(size=4)
-    assert score_baseline([v], v, w) == pytest.approx(1.0, abs=1e-12)
-    assert -1.0 <= score_baseline([v], t, w) <= 1.0
+    assert _score([v], v, w) == pytest.approx(1.0, abs=1e-12)
+    assert -1.0 <= _score([v], t, w) <= 1.0
     # with a centered whitener, positive scaling of the inputs is neutral
     # because the cosine acts on length-normalized vectors
-    from spkdbn.embeddings import Whitener
     w0 = Whitener(np.zeros(4), w.transform)
-    s1 = score_baseline([v], t, w0)
-    s2 = score_baseline([v * 100.0], t * 7.0, w0)
+    s1 = _score([v], t, w0)
+    s2 = _score([v * 100.0], t * 7.0, w0)
     assert s2 == pytest.approx(s1, abs=1e-12)
 
 
 def test_score_baseline_orthogonal_whitened_vectors():
-    from spkdbn.embeddings import Whitener
     w = Whitener(np.zeros(2), np.eye(2))
-    assert score_baseline([np.array([1.0, 0.0])], np.array([0.0, 1.0]), w) == pytest.approx(0.0)
+    assert _score([np.array([1.0, 0.0])], np.array([0.0, 1.0]), w) == pytest.approx(0.0)
 
 
 def test_score_baseline_multisession_identical_equals_single():
@@ -187,9 +196,19 @@ def test_score_baseline_multisession_identical_equals_single():
     rng = np.random.default_rng(4)
     v = rng.normal(size=4)
     t = rng.normal(size=4)
-    single = score_baseline([v], t, w)
-    multi = score_baseline([v] * 8, t, w)
+    single = _score([v], t, w)
+    multi = _score([v] * 8, t, w)
     assert multi == pytest.approx(single, abs=1e-12)
+
+
+def test_baseline_vector_of_one_row_is_the_whitened_unit_vector_and_of_none_raises():
+    w = _whitener(5)
+    x = np.random.default_rng(6).normal(size=4)
+    want = length_normalize(apply_whitener(w, x))
+    assert baseline_vector(x[None], w).tobytes() == want.tobytes()
+    assert baseline_vector(x, w).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="no enrolled vectors"):
+        baseline_vector(np.zeros((0, 4)), w)
 
 
 def test_evaluate_trials_and_report_files(tmp_path):

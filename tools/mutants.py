@@ -81,6 +81,12 @@ MUTANTS = {
         "rbm", " and all(np.isfinite(b).all() for b in biases)", ""),
     # scoring, fusion and evaluation
     "baseline-unwhitened": ("embeddings", "return w.transform @ (v - w.mean)", "return v"),
+    "baseline-average-before-whitening": (
+        "evaluation", "average_embeddings([apply_whitener(whitener, v) for v in vectors])",
+        "apply_whitener(whitener, average_embeddings(vectors))"),
+    "baseline-first-session-only": (
+        "cli", "baseline_vector(groups[model_id], whitener)",
+        "baseline_vector(groups[model_id][:1], whitener)"),
     "fusion-ignores-baseline": (
         "evaluation", "return mean_var_normalize(scores_a) + mean_var_normalize(scores_b)",
         "return 2.0 * mean_var_normalize(scores_a)"),
