@@ -143,8 +143,9 @@ def backprop_minibatch(
     """One momentum SGD step on the mean cross-entropy of a minibatch.
 
     Updates model and velocity in place, one `Momentum.descend` per
-    layer, and returns the pre-update loss.  The weight gradients go
-    into `velocity`'s buffers, so a step allocates no weight-sized array.
+    layer from the top, and returns the pre-update loss.  Each block of a
+    weight gradient goes into `velocity`'s buffers, so a step allocates
+    no weight-sized array.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -158,16 +159,12 @@ def backprop_minibatch(
 
     layer_inputs = [X] + acts
     delta = (probs - Y) / m
-    grads_b = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(layer_inputs[i].T, delta, out=velocity[i].gW)
-        grads_b[i] = delta.sum(axis=0)
+        a, d, gb = layer_inputs[i], delta, delta.sum(axis=0)
         if i > 0:
-            a = acts[i - 1]
-            delta = (delta @ model.weights[i].T) * a * (1.0 - a)
-
-    for W, b, gb, layer in zip(model.weights, model.biases, grads_b, velocity):
-        if not layer.descend(W, (b,), (gb,), cfg):
+            delta = (d @ model.weights[i].T) * a * (1.0 - a)
+        if not velocity[i].descend(model.weights[i], (model.biases[i],), (gb,), cfg,
+                                   lambda rows, out: np.matmul(a[:, rows].T, d, out=out)):
             raise NumericalError("non-finite DNN parameters after update")
     if not np.isfinite(loss):
         raise NumericalError("non-finite training loss")

@@ -49,23 +49,24 @@ class RbmParams:
         return RbmParams(self.visible_kind, self.W.copy(), self.b_vis.copy(), self.b_hid.copy())
 
 
+_BLOCK = 32768  # float64 elements (256 KiB) in a row block of `Momentum.descend`
+
+
 @dataclass
 class Momentum:
     """Momentum SGD state of one weight matrix and its bias vectors: the
-    momentum buffers `dW` and `db` (one per bias), the weight gradient `gW`
-    that the caller fills before each `descend`, and the work buffers
-    `step` and `finite`, so that a step allocates no weight-sized array."""
+    momentum buffers `dW` and `db` (one per bias), and the one-block work
+    buffers `gW` and `step`, so that a step allocates no weight-sized array."""
 
     dW: np.ndarray
     db: list[np.ndarray]
     gW: np.ndarray
     step: np.ndarray
-    finite: np.ndarray
 
     @classmethod
     def zeros_like(cls, W: np.ndarray, *biases: np.ndarray):
-        return cls(np.zeros_like(W), [np.zeros_like(b) for b in biases], np.zeros_like(W),
-                   np.zeros_like(W), np.zeros(W.shape, dtype=bool))
+        block = np.zeros((min(W.shape[0], max(1, _BLOCK // W.shape[1])), W.shape[1]))
+        return cls(np.zeros_like(W), [np.zeros_like(b) for b in biases], block, block.copy())
 
     @staticmethod
     def check(cfg) -> None:
@@ -77,8 +78,8 @@ class Momentum:
         if not 0 <= cfg.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
 
-    def descend(self, W: np.ndarray, biases, grads_b, cfg) -> bool:
-        """One momentum SGD step on the loss whose gradient is (`gW`,
+    def descend(self, W: np.ndarray, biases, grads_b, cfg, grad) -> bool:
+        """One momentum SGD step on the loss whose gradient is (gW,
         grads_b), with weight decay on W only.  Updates W, the biases and
         the buffers in place, rounding exactly as the expressions
         dW = momentum * dW - learning_rate * (gW + weight_decay * W),
@@ -86,20 +87,28 @@ class Momentum:
         and, for each bias b with gradient gb,
         db = momentum * db - learning_rate * gb,
         b = b + db.
+        W is stepped in blocks of the rows of `gW`: `grad(rows, out)`
+        writes the weight gradient of W[rows] into out and returns it, and
+        the step is applied to that block while it is in cache.
         Returns whether every updated parameter is finite.
         """
-        step = np.multiply(W, cfg.weight_decay, out=self.step)
-        step += self.gW
-        step *= cfg.learning_rate
-        self.dW *= cfg.momentum
-        self.dW -= step
-        W += self.dW
+        finite = True
+        for start in range(0, W.shape[0], self.gW.shape[0]):
+            rows = slice(start, start + self.gW.shape[0])
+            Wb, dW = W[rows], self.dW[rows]
+            gW = grad(rows, self.gW[:Wb.shape[0]])
+            step = np.multiply(Wb, cfg.weight_decay, out=self.step[:Wb.shape[0]])
+            step += gW
+            step *= cfg.learning_rate
+            dW *= cfg.momentum
+            dW -= step
+            Wb += dW
+            finite = finite and bool(np.isfinite(Wb).all())
         for b, db, gb in zip(biases, self.db, grads_b):
             db *= cfg.momentum
             db -= cfg.learning_rate * gb
             b += db
-        finite = np.isfinite(W, out=self.finite).all()
-        return bool(finite and all(np.isfinite(b).all() for b in biases))
+        return finite and all(np.isfinite(b).all() for b in biases)
 
 
 @dataclass(frozen=True)
@@ -122,14 +131,18 @@ class RbmTrainConfig:
 @dataclass
 class RbmVelocity(Momentum):
     """The `Momentum` of an RBM's W and [b_vis, b_hid] that `cd1_step`
-    carries across steps, plus `rows`: the per-row buffers of the largest
-    minibatch seen so far."""
+    carries across steps, plus `product`, a one-block buffer for the
+    gradient's second product, and `rows`: the per-row buffers of the
+    largest minibatch seen so far."""
 
+    product: np.ndarray = field(default=None, init=False, repr=False)
     rows: tuple = field(default=(), init=False, repr=False)
 
     @classmethod
     def zeros_like(cls, rbm: RbmParams) -> "RbmVelocity":
-        return super().zeros_like(rbm.W, rbm.b_vis, rbm.b_hid)
+        velocity = super().zeros_like(rbm.W, rbm.b_vis, rbm.b_hid)
+        velocity.product = np.zeros_like(velocity.gW)
+        return velocity
 
     def _minibatch_buffers(self, m: int) -> list[np.ndarray]:
         """(ph_data, h, v_rec, ph_rec, v_err) buffers for an m-row minibatch."""
@@ -235,12 +248,14 @@ def cd1_step(
     _reconstruct_visible(rbm, h, v_rec)
     _hidden_probs(rbm, v_rec, ph_rec)
 
-    gW = np.matmul(v_rec.T, ph_rec, out=velocity.gW)
-    gW -= np.matmul(v.T, ph_data, out=velocity.step)  # descend overwrites step first
-    gW /= m
+    def grad(rows, gW):
+        np.matmul(v_rec[:, rows].T, ph_rec, out=gW)
+        gW -= np.matmul(v[:, rows].T, ph_data, out=velocity.product[:gW.shape[0]])
+        return np.divide(gW, m, out=gW)
+
     gbv = np.subtract(v_rec, v, out=v_err).mean(axis=0)
     gbh = np.subtract(ph_rec, ph_data, out=h).mean(axis=0)  # h is spent
-    if not velocity.descend(rbm.W, (rbm.b_vis, rbm.b_hid), (gbv, gbh), cfg):
+    if not velocity.descend(rbm.W, (rbm.b_vis, rbm.b_hid), (gbv, gbh), cfg, grad):
         raise NumericalError(f"non-finite RBM parameters after update (epoch {epoch})")
     return float(np.square(v_err, out=v_err).sum(axis=1).mean())
 

@@ -352,17 +352,19 @@ def _backprop_oracle(weights, biases, dW, db, X, Y, cfg):
             dW, db, loss)
 
 
-def test_backprop_two_steps_match_exact_oracle():
+# the 512x512 weights are stepped in eight row blocks of 64
+@pytest.mark.parametrize("sizes", [[6, 5, 4, 2], [100, 512, 512, 2]],
+                         ids=["6-5-4-2", "100-512-512-2"])
+def test_backprop_two_steps_match_exact_oracle(sizes):
     rng = np.random.default_rng(12)
-    model = DnnModel([rng.normal(0.0, 0.5, size=(6, 5)), rng.normal(0.0, 0.5, size=(5, 4)),
-                      rng.normal(0.0, 0.5, size=(4, 2))],
-                     [rng.normal(size=5), rng.normal(size=4), rng.normal(size=2)])
+    weights = [rng.normal(0.0, 0.5, size=(a, b)) for a, b in zip(sizes, sizes[1:])]
+    model = DnnModel(weights, [rng.normal(size=b) for b in sizes[1:]])
     cfg = FineTuneConfig(learning_rate=0.3, epochs=1, momentum=0.9, weight_decay=0.05)
     state = (model.copy().weights, model.copy().biases,
              [np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases])
     vel = DnnVelocity.zeros_like(model)
     for rows in (5, 3):
-        X = rng.normal(size=(rows, 6))
+        X = rng.normal(size=(rows, sizes[0]))
         Y = np.zeros((rows, 2))
         Y[np.arange(rows), rng.integers(0, 2, size=rows)] = 1.0
         loss = backprop_minibatch(model, X, Y, cfg, vel)
@@ -402,7 +404,8 @@ def test_backprop_bias_overflow_raises_while_the_weights_stay_finite():
 
 
 def test_backprop_step_allocates_no_weight_sized_array():
-    # one 512x512 float64 array is 2,097,152 bytes
+    # one 512x512 float64 array is 2,097,152 bytes, and one row block of it
+    # (64 rows) is 262,144 bytes
     model = init_random([100, 512, 512, 2], seed=0)
     vel = DnnVelocity.zeros_like(model)
     rng = np.random.default_rng(1)
@@ -416,4 +419,19 @@ def test_backprop_step_allocates_no_weight_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 512 * 512 * 8, peak
+    assert peak < 64 * 512 * 8, peak
+
+
+def test_dnn_velocity_holds_one_weight_sized_array_per_layer():
+    # dW is each layer's only weight-sized buffer; every other one holds at
+    # most one block of 32768 float64 (256 KiB), 64 rows of a 512-wide layer
+    model = init_random([100, 512, 512, 2], seed=0)
+    vel = DnnVelocity.zeros_like(model)
+    for W, layer in zip(model.weights, vel):
+        arrays = [a for value in vars(layer).values()
+                  for a in (value if isinstance(value, list) else [value])]
+        assert all(isinstance(a, np.ndarray) for a in arrays)
+        assert sum(a is layer.dW for a in arrays) == 1 and layer.dW.shape == W.shape
+        assert all(a.size <= 32768 for a in arrays if a is not layer.dW)
+        assert layer.gW.shape == layer.step.shape == (min(W.shape[0], 32768 // W.shape[1]),
+                                                     W.shape[1])

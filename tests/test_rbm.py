@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spkdbn.rbm import (
+    Momentum,
     NumericalError,
     RbmParams,
     RbmTrainConfig,
@@ -248,18 +249,24 @@ def _cd1_oracle(W, b_vis, b_hid, dW, db_vis, db_hid, v, kind, cfg, rng):
     return W + dW, b_vis + db_vis, b_hid + db_hid, dW, db_vis, db_hid, err
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "bernoulli"])
-def test_cd1_consecutive_steps_match_exact_oracle(kind):
+@pytest.mark.parametrize("kind, n_visible, n_hidden", [
+    pytest.param("gaussian", 7, 5, id="gaussian"),
+    pytest.param("bernoulli", 7, 5, id="bernoulli"),
+    # 300x512 weights are stepped in four row blocks of 64 and a partial 44
+    pytest.param("gaussian", 300, 512, id="gaussian-300x512"),
+    pytest.param("bernoulli", 300, 512, id="bernoulli-300x512"),
+])
+def test_cd1_consecutive_steps_match_exact_oracle(kind, n_visible, n_hidden):
     data_rng = np.random.default_rng(11)
-    rbm = RbmParams(kind, data_rng.normal(0.0, 0.1, size=(7, 5)), data_rng.normal(size=7),
-                    data_rng.normal(size=5))
+    rbm = RbmParams(kind, data_rng.normal(0.0, 0.1, size=(n_visible, n_hidden)),
+                    data_rng.normal(size=n_visible), data_rng.normal(size=n_hidden))
     # a smaller, then a larger minibatch: row buffers are reused, then grown
-    batches = [data_rng.normal(size=(rows, 7)) for rows in (4, 3, 6)]
+    batches = [data_rng.normal(size=(rows, n_visible)) for rows in (4, 3, 6)]
     if kind == "bernoulli":
         batches = [sigmoid(b) for b in batches]
     cfg = _cfg(learning_rate=0.05, momentum=0.9, weight_decay=0.01)
     state = (rbm.W.copy(), rbm.b_vis.copy(), rbm.b_hid.copy(),
-             np.zeros((7, 5)), np.zeros(7), np.zeros(5))
+             np.zeros((n_visible, n_hidden)), np.zeros(n_visible), np.zeros(n_hidden))
     vel = RbmVelocity.zeros_like(rbm)
     rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
     for batch in batches:
@@ -289,3 +296,38 @@ def test_cd1_step_allocates_no_weight_or_minibatch_sized_array(n_visible, kind, 
     finally:
         tracemalloc.stop()
     assert peak < bound, peak
+
+
+@pytest.mark.parametrize("bad_row", [None, 0, 150, 299])
+def test_descend_reports_a_non_finite_weight_in_any_row_block(bad_row):
+    # 300 rows of 512 are stepped in four blocks of 64 rows and one of 44
+    W, b = np.zeros((300, 512)), np.zeros(2)
+    gW = np.random.default_rng(0).normal(size=W.shape)
+    if bad_row is not None:
+        gW[bad_row, 7] = np.inf
+    momentum = Momentum.zeros_like(W, b)
+    cfg = _cfg(learning_rate=1.0, momentum=0.5, weight_decay=0.0)
+
+    def grad(rows, out):
+        out[:] = gW[rows]
+        return out
+
+    assert momentum.descend(W, (b,), (np.ones(2),), cfg, grad) is (bad_row is None)
+    np.testing.assert_array_equal(W, -gW)
+    np.testing.assert_array_equal(b, -np.ones(2))
+
+
+def test_rbm_velocity_holds_one_weight_sized_array():
+    # dW is the only weight-sized buffer; every other one holds at most one
+    # block of 32768 float64 (256 KiB), which is 64 rows of a 512-wide layer.
+    # The per-row buffers of this 8-row minibatch are smaller than a block.
+    rbm = init_rbm(512, 512, "bernoulli", seed=0)
+    vel = RbmVelocity.zeros_like(rbm)
+    rng = np.random.default_rng(1)
+    cd1_step(rbm, rng.random((8, 512)), _cfg(learning_rate=0.01), vel, rng)
+    arrays = [a for value in vars(vel).values()
+              for a in (value if isinstance(value, (list, tuple)) else [value])]
+    assert all(isinstance(a, np.ndarray) for a in arrays)
+    assert [a.shape for a in arrays if a.size > 32768] == [rbm.W.shape]
+    assert vel.dW.shape == rbm.W.shape
+    assert vel.gW.shape == vel.step.shape == vel.product.shape == (64, 512)

@@ -52,7 +52,8 @@ MUTANTS = {
     # pretraining, normalization and adaptation
     "udbn-layer-on-layer-0-outputs": (
         "udbn", "X = hidden_probs(layer, X)", "X = hidden_probs(layer, X) if k == 0 else X"),
-    "cd1-gradient-sign": ("rbm", "gW /= m", "gW /= -m"),
+    "cd1-gradient-sign": (
+        "rbm", "return np.divide(gW, m, out=gW)", "return np.divide(gW, -m, out=gW)"),
     "unnormalized-udbn-write": (
         "cli", "udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)",
         "udbn.save_dbn(udbn.DbnParams(model.layers, True), paths.udbn_norm)"),
@@ -74,11 +75,16 @@ MUTANTS = {
         "dnn", "for X in plan.batches:", "for X in plan.batches[::-1]:"),
     # the momentum step shared by CD-1 and fine-tuning
     "decay-sign": (
-        "rbm", "np.multiply(W, cfg.weight_decay, out=self.step)",
-        "np.multiply(W, -cfg.weight_decay, out=self.step)"),
-    "momentum-sign": ("rbm", "self.dW *= cfg.momentum", "self.dW *= -cfg.momentum"),
+        "rbm", "np.multiply(Wb, cfg.weight_decay,", "np.multiply(Wb, -cfg.weight_decay,"),
+    "momentum-sign": ("rbm", "dW *= cfg.momentum", "dW *= -cfg.momentum"),
     "no-bias-finite-check": (
         "rbm", " and all(np.isfinite(b).all() for b in biases)", ""),
+    "last-partial-block-skipped": (
+        "rbm", "range(0, W.shape[0], self.gW.shape[0])",
+        "range(0, W.shape[0] // self.gW.shape[0] * self.gW.shape[0], self.gW.shape[0])"),
+    "finite-check-first-block-only": (
+        "rbm", "finite = finite and bool(np.isfinite(Wb).all())",
+        "finite = finite and (start > 0 or bool(np.isfinite(Wb).all()))"),
     # scoring, fusion and evaluation
     "baseline-unwhitened": ("embeddings", "return w.transform @ (v - w.mean)", "return v"),
     "baseline-average-before-whitening": (
