@@ -109,9 +109,11 @@ def _forward_full(model: DnnModel, X: np.ndarray):
     acts = []
     a = X
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = a @ W + b
+        a = a @ W  # then in place: one activation array per layer
+        a += b
         acts.append(_sigmoid(a, a))
-    z = a @ model.weights[-1] + model.biases[-1]
+    z = a @ model.weights[-1]
+    z += model.biases[-1]
     return acts, z, _softmax(z)
 
 

@@ -15,6 +15,8 @@ threshold.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -33,6 +35,7 @@ from .balance import cosine_score
 DCF_C_MISS = 10.0
 DCF_C_FA = 1.0
 DCF_P_TARGET = 0.01
+_BLOCK_LINES = 512  # lines per block of a score file
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,9 @@ def fuse(scores_a, scores_b) -> np.ndarray:
     return mean_var_normalize(scores_a) + mean_var_normalize(scores_b)
 
 
-def _split_scores(scores, keys):
+def _operating_points(scores, keys):
+    """Thresholds (ascending) with P_miss and P_fa at each: the one sweep
+    that EER, minDCF and the DET points are all read from."""
     s, k = np.asarray(scores, dtype=float), np.asarray(keys)
     if s.shape != k.shape:
         raise ValueError("scores and keys differ in length")
@@ -111,11 +116,6 @@ def _split_scores(scores, keys):
     tar, non = np.sort(s[k == "target"]), np.sort(s[k == "nontarget"])
     if tar.size == 0 or non.size == 0:
         raise ValueError("need at least one target and one nontarget trial")
-    return tar, non
-
-
-def _operating_points(tar: np.ndarray, non: np.ndarray):
-    """Thresholds (ascending) with P_miss and P_fa at each."""
     s = np.sort(np.concatenate([tar, non]))
     s = s[np.concatenate(([True], s[1:] != s[:-1]))]  # distinct scores
     lo, hi = s[:-1], s[1:]
@@ -131,8 +131,7 @@ def _operating_points(tar: np.ndarray, non: np.ndarray):
 
 def det_points(scores, keys) -> list[tuple[float, float]]:
     """(p_fa, p_miss) at every swept threshold, in threshold order."""
-    tar, non = _split_scores(scores, keys)
-    _, p_miss, p_fa = _operating_points(tar, non)
+    _, p_miss, p_fa = _operating_points(scores, keys)
     return list(zip(p_fa.tolist(), p_miss.tolist()))
 
 
@@ -142,8 +141,10 @@ def compute_eer(scores, keys) -> tuple[float, float]:
     Interpolates linearly between the two adjacent operating points
     where the sign of (P_miss - P_fa) flips.
     """
-    tar, non = _split_scores(scores, keys)
-    thr, p_miss, p_fa = _operating_points(tar, non)
+    return _eer(*_operating_points(scores, keys))
+
+
+def _eer(thr, p_miss, p_fa):
     diff = p_miss - p_fa
     i = int(np.argmax(diff >= 0.0))  # diff[0] = -1, so i >= 1 unless degenerate
     if diff[i] == 0.0:
@@ -165,18 +166,21 @@ def compute_min_dcf(
     p_target: float = DCF_P_TARGET,
 ) -> tuple[float, float]:
     """Minimum of c_miss*p_target*P_miss + c_fa*(1-p_target)*P_fa over thresholds."""
-    tar, non = _split_scores(scores, keys)
-    thr, p_miss, p_fa = _operating_points(tar, non)
+    return _min_dcf(*_operating_points(scores, keys), c_miss, c_fa, p_target)
+
+
+def _min_dcf(thr, p_miss, p_fa, c_miss=DCF_C_MISS, c_fa=DCF_C_FA, p_target=DCF_P_TARGET):
     dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
     i = int(np.argmin(dcf))
     return float(dcf[i]), float(thr[i])
 
 
 def evaluate_trials(scores, trials: Trials) -> EvalReport:
-    """Full report for a score vector aligned with `trials`."""
-    eer, thr = compute_eer(scores, trials.keys)
-    min_dcf, _ = compute_min_dcf(scores, trials.keys)
-    return EvalReport(eer, min_dcf, tuple(det_points(scores, trials.keys)), thr)
+    """Full report for a score vector aligned with `trials`, from one sweep."""
+    thr, p_miss, p_fa = _operating_points(scores, trials.keys)
+    eer, threshold = _eer(thr, p_miss, p_fa)
+    min_dcf, _ = _min_dcf(thr, p_miss, p_fa)
+    return EvalReport(eer, min_dcf, tuple(zip(p_fa.tolist(), p_miss.tolist())), threshold)
 
 
 def load_trials(path) -> Trials:
@@ -220,27 +224,40 @@ def load_scores(path, trials: Trials) -> np.ndarray:
     a line past the last trial or a missing line raises ParseError naming
     the line."""
     scores = np.empty(len(trials))
-    i = lineno = 0
+    i = end = 0
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if i == len(trials):
-                raise ParseError(f"{path}:{lineno}: score past the last of {len(trials)} trials")
-            want = [trials.models[i], trials.tests[i]]
-            if len(fields) != 3 or fields[:2] != want:
-                raise ParseError(f"{path}:{lineno}: expected '{want[0]} {want[1]} <score>'")
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad score field") from None
-            if not math.isfinite(score):
-                raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
-            scores[i] = score
-            i += 1
+        # Each block of lines is checked whole, and its scores converted by one
+        # call to float()'s parser; only a block that fails is read line by line.
+        while rows := [raw.split() for raw in itertools.islice(fh, _BLOCK_LINES)]:
+            start, end = end + 1, end + len(rows)
+            records = [f for f in rows if f and not f[0].startswith("#")]
+            j = i + len(records)
+            if j <= len(trials) and all(len(f) == 3 for f in records):
+                expected = list(trials.models[i:j]), list(trials.tests[i:j])
+                ids = [f[0] for f in records], [f[1] for f in records]
+                with contextlib.suppress(ValueError):  # the same values and rejects as float()
+                    block = np.array([f[2] for f in records], dtype=np.float64)
+                    if ids == expected and np.isfinite(block).all():
+                        scores[i:j], i = block, j
+                        continue
+            for lineno, fields in enumerate(rows, start):  # raises at the block's first fault
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if i == len(trials):
+                    raise ParseError(f"{path}:{lineno}: score past the last of {len(trials)} trials")
+                want = [trials.models[i], trials.tests[i]]
+                if len(fields) != 3 or fields[:2] != want:
+                    raise ParseError(f"{path}:{lineno}: expected '{want[0]} {want[1]} <score>'")
+                try:
+                    score = float(fields[2])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad score field") from None
+                if not math.isfinite(score):
+                    raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
+                scores[i] = score
+                i += 1
     if i < len(trials):
-        raise ParseError(f"{path}:{lineno + 1}: missing '{trials.models[i]} {trials.tests[i]}'")
+        raise ParseError(f"{path}:{end + 1}: missing '{trials.models[i]} {trials.tests[i]}'")
     return scores
 
 

@@ -74,7 +74,8 @@ def train_udbn(background, hidden_sizes, cfgs) -> DbnParams:
         kind = "gaussian" if k == 0 else "bernoulli"
         layer, _ = train_rbm(X, cfg, kind, n_hid)
         layers.append(layer)
-        X = hidden_probs(layer, X)
+        if k + 1 < len(hidden_sizes):  # nothing reads the top layer's outputs
+            X = hidden_probs(layer, X)
     return DbnParams(layers)
 
 

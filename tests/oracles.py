@@ -1,11 +1,18 @@
 """Independent brute-force reference implementations used as test oracles.
 
-Everything here is pure-python loop code, deliberately written without
-reusing any vectorized library internals, so oracle agreement is a real
-cross-check and not a tautology.
+The metric, selection and forward-pass oracles are pure-python loop code,
+deliberately written without reusing any vectorized library internals, so
+oracle agreement is a real cross-check and not a tautology.  The reader
+oracles at the end parse one line at a time, with `float()` per field.
 """
 
 import math
+import re
+
+import numpy as np
+
+from spkdbn.embeddings import Dataset, ParseError
+from spkdbn.evaluation import Trials
 
 
 def cosine_oracle(a, b):
@@ -88,3 +95,92 @@ def forward_oracle(weights, biases, x):
     e = [math.exp(v - zmax) for v in z]
     s = sum(e)
     return acts, [v / s for v in e]
+
+
+# Line-by-line readers that the package's readers must match: the
+# same arrays, bit for bit, and the same ParseError text for a malformed file.
+
+def parse_embeddings_oracle(lines, path):
+    ids, speakers, rows = [], [], []
+    dim = None
+    header_dim = None
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            m = re.match(r"#\s*embeddings\s+d=(\d+)", line)
+            if m:
+                header_dim = int(m.group(1))
+            continue
+        fields = line.split(" ")
+        if len(fields) < 3:
+            raise ParseError(f"{path}:{lineno}: expected id, speaker and values")
+        utt, spk = fields[0], fields[1]
+        try:
+            values = np.array([float(x) for x in fields[2:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad float field ({exc})") from None
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise ParseError(
+                f"{path}:{lineno}: dimension {values.size} != {dim} of first row"
+            )
+        if utt in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate utterance_id {utt!r}")
+        if not np.isfinite(values).all():
+            raise ParseError(f"{path}:{lineno}: non-finite value in embedding {utt!r}")
+        seen.add(utt)
+        ids.append(utt)
+        speakers.append(None if spk == "-" else spk)
+        rows.append(values)
+    if dim is None:
+        if header_dim:
+            return Dataset((), (), np.zeros((0, header_dim)))
+        raise ParseError(f"{path}: no embedding records found")
+    return Dataset(tuple(ids), tuple(speakers), np.stack(rows))
+
+
+def parse_trials_oracle(lines, path):
+    key_of, first_line = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 3 or fields[2] not in ("target", "nontarget"):
+            raise ParseError(f"{path}:{lineno}: expected '<model> <test> <target|nontarget>'")
+        pair = (fields[0], fields[1])
+        if pair in key_of:
+            raise ParseError(f"{path}:{lineno}: trial '{fields[0]} {fields[1]}' "
+                             f"repeats line {first_line[pair]}")
+        key_of[pair], first_line[pair] = fields[2], lineno
+    if not key_of:
+        raise ParseError(f"{path}: no trials found")
+    models, tests = zip(*sorted(key_of))
+    return Trials(models, tests, tuple(key_of[pair] for pair in zip(models, tests)))
+
+
+def load_scores_oracle(path, trials):
+    scores = np.empty(len(trials))
+    i = lineno = 0
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if i == len(trials):
+                raise ParseError(f"{path}:{lineno}: score past the last of {len(trials)} trials")
+            want = [trials.models[i], trials.tests[i]]
+            if len(fields) != 3 or fields[:2] != want:
+                raise ParseError(f"{path}:{lineno}: expected '{want[0]} {want[1]} <score>'")
+            try:
+                score = float(fields[2])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad score field") from None
+            if not math.isfinite(score):
+                raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
+            scores[i] = score
+            i += 1
+    if i < len(trials):
+        raise ParseError(f"{path}:{lineno + 1}: missing '{trials.models[i]} {trials.tests[i]}'")
+    return scores

@@ -22,6 +22,16 @@ def test_cosine_score_values():
         cosine_score([1.0], [1.0, 0.0])
 
 
+def test_cosine_score_is_bitwise_the_linalg_norm_formula():
+    # contiguous, strided and reversed views: np.linalg.norm ravels each in
+    # memory order and sums x.dot(x), whose bits a strided dot may not share
+    rng = np.random.default_rng(9)
+    for d in (3, 100, 400):
+        M = rng.normal(size=(2, 3 * d)) * rng.choice([1e-150, 1.0, 1e150], size=(2, 1))
+        for a, b in ((M[0, :d], M[1, :d]), (M[0, ::3], M[1, 1::3]), (M[0, ::-1], M[1, ::-1])):
+            assert cosine_score(a, b) == float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def test_select_impostors_single_target():
     target = [np.array([1.0, 0.0])]
     impostors = np.array([[0.0, 1.0], [1.0, 0.1], [-1.0, 0.0]])

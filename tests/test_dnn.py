@@ -435,3 +435,18 @@ def test_dnn_velocity_holds_one_weight_sized_array_per_layer():
         assert all(a.size <= 32768 for a in arrays if a is not layer.dW)
         assert layer.gW.shape == layer.step.shape == (min(W.shape[0], 32768 // W.shape[1]),
                                                      W.shape[1])
+
+
+def test_scoring_holds_one_activation_array_per_layer():
+    # 1548 test rows through a 100-512-2 model: one 1548x512 float64
+    # activation array, filled in place by the bias add and the sigmoid
+    model = init_random([100, 512, 2], seed=0)
+    X = np.random.default_rng(1).normal(size=(1548, 100))
+    score_llr_batch(model, X)
+    tracemalloc.start()
+    try:
+        score_llr_batch(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 1548 * 512 * 8, peak

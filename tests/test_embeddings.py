@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from spkdbn.embeddings import (
     generate_synthetic,
     length_normalize,
     load_embeddings,
+    parse_embeddings,
     save_embeddings,
 )
 
@@ -57,6 +60,26 @@ def test_non_finite_field_names_line(tmp_path, field):
     p.write_text(f"u1 a 1.0 2.0\nu2 a {field} 2.0\n")
     with pytest.raises(ParseError, match=r":2: non-finite value in embedding 'u2'"):
         load_embeddings(p)
+
+
+def test_parsing_streams_the_file_one_line_at_a_time(tmp_path):
+    # 1800x100 rows: the parsed matrix, the per-row arrays it is stacked
+    # from, and one line's fields; a token list of the whole file would
+    # peak at about 14x the matrix
+    rng = np.random.default_rng(2)
+    ds = Dataset(tuple(f"bg{i:04d}" for i in range(1800)), (None,) * 1800,
+                 rng.normal(size=(1800, 100)))
+    p = tmp_path / "background.txt"
+    save_embeddings(ds, p)
+    tracemalloc.start()
+    try:
+        with open(p) as fh:
+            back = parse_embeddings(fh, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.vectors, ds.vectors)
+    assert peak <= 4 * ds.vectors.nbytes, peak
 
 
 def test_dataset_validates_objects_built_in_code():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import eer_oracle, min_dcf_oracle, sweep_oracle
+from spkdbn import evaluation
 from spkdbn.embeddings import (
     ParseError,
     Whitener,
@@ -225,6 +226,20 @@ def test_evaluate_trials_and_report_files(tmp_path):
     assert dp.read_text().splitlines()[0] == "p_fa,p_miss"
     with pytest.raises(ValueError):
         evaluate_trials(np.array([1.0]), trials)
+
+
+def test_evaluate_trials_sweeps_once_and_matches_the_three_metrics(monkeypatch):
+    scores, keys = _random_trial_scores(11, n=400)
+    trials = Trials(("m",) * 400, tuple(f"t{i:03d}" for i in range(400)), tuple(keys))
+    sweeps = []
+    sweep = evaluation._operating_points
+    monkeypatch.setattr(evaluation, "_operating_points",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    report = evaluate_trials(scores, trials)
+    assert len(sweeps) == 1
+    assert (report.eer, report.threshold_at_eer) == compute_eer(scores, trials.keys)
+    assert report.min_dcf == compute_min_dcf(scores, trials.keys)[0]
+    assert list(report.det_points) == det_points(scores, trials.keys)
 
 
 def test_trial_and_score_files(tmp_path):

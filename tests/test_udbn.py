@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spkdbn import udbn
 from spkdbn.rbm import RbmParams, RbmTrainConfig, RbmVelocity, cd1_step, hidden_probs, train_rbm
 from spkdbn.udbn import (
     DbnParams,
@@ -189,3 +190,19 @@ def test_dbn_file_roundtrip(tmp_path):
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.b_vis, b.b_vis)
         assert np.array_equal(a.b_hid, b.b_hid)
+
+
+def test_train_udbn_propagates_the_background_through_all_but_the_top_layer(monkeypatch):
+    calls = []
+
+    def counted(layer, X):
+        calls.append(layer.n_hidden)
+        return hidden_probs(layer, X)
+
+    monkeypatch.setattr(udbn, "hidden_probs", counted)
+    X = _toy_data(4)
+    train_udbn(X, [8, 6, 4], [_cfg(1), _cfg(2), _cfg(3)])
+    assert calls == [8, 6]
+    calls.clear()
+    train_udbn(X, [8], [_cfg(1)])
+    assert calls == []

@@ -103,7 +103,11 @@ MUTANTS = {
         "evaluation", "np.where((lo < mid) & (mid <= hi), mid, hi)", "mid"),
     "eer-no-interpolation": (
         "evaluation", "eer = p_miss[i - 1] + a * (p_miss[i] - p_miss[i - 1])", "eer = p_miss[i]"),
-    "non-finite-score-loads": ("evaluation", "if not math.isfinite(score):", "if False:"),
+    "non-finite-score-loads": (
+        "evaluation", " and np.isfinite(block).all()", ""),
+    "score-ids-unchecked": ("evaluation", "if ids == expected and ", "if "),
+    "trial-duplicates-unchecked": ("evaluation", "if pair in key_of:", "if False:"),
+    "forward-bias-dropped": ("dnn", "a += b", "pass"),
     # resume
     "stamp-mismatch-skipped": ("cli", "if recorded != stamp:", "if False:"),
 }
