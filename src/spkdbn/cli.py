@@ -32,11 +32,14 @@ from . import balance, dnn, evaluation, udbn
 from .embeddings import (
     Dataset,
     SynthConfig,
+    Whitener,
     average_embeddings,
     fit_whitener,
     generate_synthetic,
+    load_arrays,
     load_embeddings,
     parse_embeddings,
+    save_arrays,
     save_embeddings,
 )
 from .rbm import RbmTrainConfig
@@ -230,6 +233,8 @@ class _Paths:
     @property
     def udbn_norm(self): return os.path.join(self.out, "udbn_norm.dbn")
     @property
+    def whitener(self): return os.path.join(self.out, "whitener.npz")
+    @property
     def selected(self): return os.path.join(self.out, "selected_impostors.txt")
     @property
     def centroids(self): return os.path.join(self.out, "centroids.txt")
@@ -338,8 +343,10 @@ def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
 
 
 def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    # Checked before any artifact is stamped, which would make the corrected
-    # re-run stop with a config-hash mismatch.
+    # The whitener is fitted and the config checked against the background
+    # before any artifact is stamped, which would make the corrected re-run
+    # stop with a config-hash mismatch.
+    whitener = fit_whitener(inputs.background.vectors)
     m = len(inputs.background)
     if cfg.impostor_n > m:
         raise ValueError(f"impostor_n={cfg.impostor_n} exceeds the {m} background vectors")
@@ -350,6 +357,7 @@ def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> N
                             _rbm_configs(cfg))
     udbn.save_dbn(model, paths.udbn)
     udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)
+    save_arrays(paths.whitener, "whitener", mean=whitener.mean, transform=whitener.transform)
 
 
 def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
@@ -436,7 +444,8 @@ def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> No
 
 def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     test, trials, groups = inputs.test, inputs.trials, inputs.speakers
-    whitener = fit_whitener(inputs.background.vectors)
+    arrays = load_arrays(paths.whitener, "whitener")
+    whitener = Whitener(arrays["mean"], arrays["transform"])
     blocks = _model_blocks(trials, groups)
     utts = list(dict.fromkeys(trials.tests))
     prepared = {t: evaluation.baseline_vector(x, whitener) for t, x in zip(utts, test.rows(utts))}
@@ -465,7 +474,7 @@ def stage_evaluate(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> Non
 # The pipeline in order, as (name, artifacts(paths, inputs), run(cfg, paths, inputs, jobs)).
 # Each run looks its stage_* function up when called, so a wrapper put on this module runs.
 STAGES = (
-    ("train-udbn", lambda paths, inputs: [paths.udbn, paths.udbn_norm],
+    ("train-udbn", lambda paths, inputs: [paths.udbn, paths.udbn_norm, paths.whitener],
      lambda cfg, paths, inputs, jobs: stage_train_udbn(cfg, paths, inputs)),
     ("select-impostors", lambda paths, inputs: [paths.selected],
      lambda cfg, paths, inputs, jobs: stage_select_impostors(cfg, paths, inputs)),

@@ -40,10 +40,6 @@ class DnnModel:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.input_dim] + [W.shape[1] for W in self.weights]
-
     def copy(self) -> "DnnModel":
         return DnnModel([W.copy() for W in self.weights], [b.copy() for b in self.biases])
 

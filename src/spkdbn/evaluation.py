@@ -262,13 +262,24 @@ def load_scores(path, trials: Trials) -> np.ndarray:
 
 
 def save_report(report: EvalReport, report_path, det_csv_path) -> None:
-    """Structured report text plus a DET-point CSV for plotting."""
+    """Structured report text plus a CSV of the DET curve's corners for plotting.
+
+    The DET points form a staircase in threshold order.  A point is left
+    out of the CSV when both its neighbours share its p_fa, or both share
+    its p_miss: it lies on the axis-parallel segment between them, so the
+    kept points draw the same curve.  The first and last points are kept.
+    """
     with open(report_path, "w") as fh:
         fh.write(f"eer={_fmt(report.eer)} min_dcf={_fmt(report.min_dcf)}\n")
         fh.write(f"threshold_at_eer={_fmt(report.threshold_at_eer)}\n")
         # presentation only: EER as percent, minDCF scaled by 1e4
         fh.write(f"eer_pct={_fmt(100.0 * report.eer)} min_dcf_x1e4={_fmt(1e4 * report.min_dcf)}\n")
+    points = np.array(report.det_points)
+    same = points[1:] == points[:-1]  # row i: point i+1 shares (p_fa, p_miss) with point i
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:-1] = ~(same[:-1] & same[1:]).any(axis=1)
     with open(det_csv_path, "w") as fh:
         fh.write("p_fa,p_miss\n")
-        for p_fa, p_miss in report.det_points:
+        for i in np.flatnonzero(keep).tolist():
+            p_fa, p_miss = report.det_points[i]
             fh.write(f"{_fmt(p_fa)},{_fmt(p_miss)}\n")

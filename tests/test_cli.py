@@ -142,12 +142,11 @@ def test_pipeline_end_to_end_and_artifacts(tmp_path):
     cfg = resolve_config(pairs)
     reports = run_pipeline(cfg)
     out = tmp_path / "exp" / "out"
-    for name in ("udbn.dbn", "udbn_norm.dbn", "selected_impostors.txt", "centroids.txt",
-                 "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
+    for name in ("udbn.dbn", "udbn_norm.dbn", "whitener.npz", "selected_impostors.txt",
+                 "centroids.txt", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
                  "report_dnn.txt", "det_dnn.csv"):
         assert (out / name).exists(), name
     assert (out / "models" / "spk0000.dnn").exists()
-    assert not list(out.glob("whitener*"))  # the baseline's whitener is not stored
     assert set(reports) == {"dnn", "baseline", "fused"}
     line = (out / "report_dnn.txt").read_text().splitlines()[0]
     assert line.startswith("eer=")
@@ -226,7 +225,8 @@ def test_cli_stage_writes_only_its_own_artifacts(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["train-udbn", "--config", cfg_file]) == 0
     assert sorted(os.listdir(tmp_path / "exp" / "out")) == [
-        "udbn.dbn", "udbn.dbn.hash", "udbn_norm.dbn", "udbn_norm.dbn.hash"]
+        "udbn.dbn", "udbn.dbn.hash", "udbn_norm.dbn", "udbn_norm.dbn.hash",
+        "whitener.npz", "whitener.npz.hash"]
 
 
 def test_cli_writes_the_normalized_udbn(tmp_path):
@@ -316,6 +316,23 @@ def test_cli_value_too_large_for_the_background_fails_before_the_udbn_is_stamped
 
     # The corrected config resumes in the same directory.
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 0
+    assert os.path.exists(os.path.join(pairs["out"], "report_fused.txt"))
+
+
+def test_cli_background_too_small_to_whiten_fails_before_anything_is_stamped(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)   # d=50
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    full = (tmp_path / "exp" / "background.txt").read_bytes()
+    background = load_embeddings(pairs["background"])
+    save_embeddings(subset(background, lambda utt: utt in background.ids[:40]), pairs["background"])
+    assert main(["run", "--config", cfg_file]) == 1
+    assert ("stage train-udbn: need at least d+1=51 vectors to fit a whitener, got 40"
+            in capsys.readouterr().err)
+    assert os.listdir(pairs["out"]) == []     # no artifact and no stamp
+
+    # The full background resumes in the same directory.
+    (tmp_path / "exp" / "background.txt").write_bytes(full)
     assert main(["run", "--config", cfg_file]) == 0
     assert os.path.exists(os.path.join(pairs["out"], "report_fused.txt"))
 
@@ -413,7 +430,9 @@ def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
         for spk in sessions:
             for utt, test_spk in zip(test.ids, test.speakers):
                 fh.write(f"{spk} {utt} {'target' if test_spk == spk else 'nontarget'}\n")
-    assert main(["score-baseline", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 0
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["train-udbn", "--config", cfg_file]) == 0
+    assert main(["score-baseline", "--config", cfg_file]) == 0
 
     w = fit_whitener(load_embeddings(pairs["background"]).vectors)
 
@@ -496,6 +515,24 @@ def test_run_opens_each_input_twice_and_parses_it_once(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg_file]) == 0
     assert opens == dict.fromkeys(INPUTS, 2)   # hashed once, parsed once
     assert parses == dict.fromkeys(INPUTS, 1)
+
+
+def test_stage_subcommands_parse_the_background_only_in_the_setup_stages(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    name_of = {pairs[key]: key for key in INPUTS}
+    parses = []
+    parse = cli.parse_embeddings
+
+    def spy(lines, path):
+        parses.append((command, name_of[path]))
+        return parse(lines, path)
+
+    monkeypatch.setattr(cli, "parse_embeddings", spy)
+    for command in STAGE_COMMANDS:
+        assert main([command, "--config", cfg_file]) == 0, command
+    assert [cmd for cmd, name in parses if name == "background"] == [
+        "train-udbn", "select-impostors", "cluster"]
 
 
 def test_input_rewritten_after_the_stamp_fails_the_stage_that_parses_it(tmp_path, monkeypatch,

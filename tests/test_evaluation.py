@@ -1,5 +1,6 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,51 @@ def test_evaluate_trials_and_report_files(tmp_path):
     assert dp.read_text().splitlines()[0] == "p_fa,p_miss"
     with pytest.raises(ValueError):
         evaluate_trials(np.array([1.0]), trials)
+
+
+def _det_case(name):
+    """(scores, keys): continuous scores; integer scores that tie only within
+    a class; or scores rounded to 0.1, so that targets and nontargets tie."""
+    if name.startswith("continuous"):
+        return _random_trial_scores(20 + int(name[-1]), n=600)
+    if name == "class-ties":
+        rng = np.random.default_rng(4)
+        scores = np.concatenate([2 * rng.integers(0, 8, 60) + 1, 2 * rng.integers(0, 6, 300)])
+        return scores.astype(float), ["target"] * 60 + ["nontarget"] * 300
+    scores, keys = _random_trial_scores(5, n=600)
+    return np.round(scores, 1), keys
+
+
+@pytest.mark.parametrize("name", ["continuous-0", "continuous-1", "continuous-2", "class-ties",
+                                  "cross-class-ties"])
+def test_det_csv_holds_the_corners_of_the_det_staircase(tmp_path, name):
+    scores, keys = _det_case(name)
+    trials = Trials(("m",) * len(keys), tuple(f"t{i:04d}" for i in range(len(keys))), tuple(keys))
+    pts = det_points(scores, keys)
+    save_report(evaluate_trials(scores, trials), tmp_path / "r.txt", tmp_path / "d.csv")
+    header, *lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert header == "p_fa,p_miss"
+    csv = [tuple(float(x) for x in line.split(",")) for line in lines]
+    kept, i = [], 0
+    for point in csv:                      # the CSV is a subsequence of the DET points
+        i = pts.index(point, i)
+        kept.append(i)
+        i += 1
+    assert kept[0] == 0 and kept[-1] == len(pts) - 1
+    assert len(kept) < len(pts)
+    for a, b in zip(kept, kept[1:]):       # each dropped point is on an axis-parallel segment
+        (fa0, miss0), (fa1, miss1) = pts[a], pts[b]
+        for fa, miss in pts[a + 1:b]:
+            assert (fa0 == fa == fa1 and miss0 <= miss <= miss1) or \
+                (miss0 == miss == miss1 and fa0 >= fa >= fa1), (pts[a], (fa, miss), pts[b])
+    for a, b, c in zip(csv, csv[1:], csv[2:]):
+        assert not (a[0] == b[0] == c[0] or a[1] == b[1] == c[1]), (a, b, c)
+        if not name.startswith("cross-class"):
+            # Exact collinearity.  A score shared by a target and a nontarget
+            # trial makes a diagonal step, whose ends the rule keeps, so the
+            # cross-class case is checked only for axis-parallel runs above.
+            (ax, ay), (bx, by), (cx, cy) = (map(Fraction, p) for p in (a, b, c))
+            assert (bx - ax) * (cy - by) != (by - ay) * (cx - bx), (a, b, c)
 
 
 def test_evaluate_trials_sweeps_once_and_matches_the_three_metrics(monkeypatch):

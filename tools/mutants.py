@@ -108,6 +108,11 @@ MUTANTS = {
     "score-ids-unchecked": ("evaluation", "if ids == expected and ", "if "),
     "trial-duplicates-unchecked": ("evaluation", "if pair in key_of:", "if False:"),
     "forward-bias-dropped": ("dnn", "a += b", "pass"),
+    "baseline-whitener-refitted": (
+        "cli", 'Whitener(arrays["mean"], arrays["transform"])',
+        "fit_whitener(inputs.background.vectors)"),
+    "det-corner-dropped": ("evaluation", "same[:-1] & same[1:]", "same[:-1] | same[1:]"),
+    "det-collinear-point-kept": ("evaluation", ".any(axis=1)", ".all(axis=1)"),
     # resume
     "stamp-mismatch-skipped": ("cli", "if recorded != stamp:", "if False:"),
 }
