@@ -19,18 +19,6 @@ import numpy as np
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class ImpostorSelectionConfig:
-    """N = local nearest impostors per target, kappa = global survivors."""
-
-    n_local: int
-    kappa: int
-
-    def __post_init__(self):
-        if self.n_local < 1 or self.kappa < 1:
-            raise ValueError("N and kappa must be >= 1")
-
-
 def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity a.b / (|a||b|)."""
     a = np.asarray(a, dtype=float)
@@ -81,11 +69,6 @@ def rank_impostors(frequencies, kappa: int) -> list[int]:
         raise ValueError(f"kappa={kappa} out of range for impostor count {f.size}")
     order = np.lexsort((np.arange(f.size), -f))
     return [int(i) for i in order[:kappa]]
-
-
-def select_impostors(targets, impostors, cfg: ImpostorSelectionConfig) -> list[int]:
-    """Indices of the kappa most frequently top-N-ranked impostors."""
-    return rank_impostors(impostor_frequencies(targets, impostors, cfg.n_local), cfg.kappa)
 
 
 def _repair_empty_clusters(assign: np.ndarray, sims: np.ndarray, k: int) -> np.ndarray:

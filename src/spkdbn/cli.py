@@ -33,7 +33,6 @@ from .embeddings import (
     Dataset,
     SynthConfig,
     Whitener,
-    average_embeddings,
     fit_whitener,
     generate_synthetic,
     load_arrays,
@@ -101,7 +100,10 @@ class ExperimentConfig:
             raise ValueError("hidden_size must be >= 1")
         if self.init_mode not in ("dbn", "random"):
             raise ValueError(f"init_mode must be 'dbn' or 'random', got {self.init_mode!r}")
-        balance.ImpostorSelectionConfig(self.impostor_n, self.impostor_kappa)
+        if self.impostor_n < 1:
+            raise ValueError(f"impostor_n must be >= 1, got {self.impostor_n}")
+        if self.impostor_kappa < 1:
+            raise ValueError(f"impostor_kappa must be >= 1, got {self.impostor_kappa}")
         if not 1 <= self.num_centroids <= self.impostor_kappa:
             raise ValueError(f"num_centroids={self.num_centroids} must be in "
                              f"1..impostor_kappa={self.impostor_kappa}")
@@ -281,7 +283,8 @@ class _Inputs:
 
     def __init__(self, cfg: ExperimentConfig):
         paths = {name: getattr(cfg, name) for name in ("background", "enroll", "test", "trials")}
-        missing = [p for p in paths.values() if not os.path.exists(p)]
+        missing = [f"{name}={path}" if path else f"{name} (not set)"
+                   for name, path in paths.items() if not os.path.exists(path)]
         if missing:
             raise PipelineError(f"stage validate: missing input file(s): {', '.join(missing)}")
         if not cfg.out:
@@ -361,7 +364,7 @@ def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> N
 
 
 def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    targets = [average_embeddings(vs) for vs in inputs.speakers.values()]
+    targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
     freqs = balance.impostor_frequencies(targets, inputs.background.vectors, cfg.impostor_n)
     selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(inputs.background)))
     with open(paths.selected, "w") as fh:

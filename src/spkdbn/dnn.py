@@ -98,7 +98,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_full(model: DnnModel, X: np.ndarray):
-    """Returns (hidden activations per layer, output pre-activations, probs)."""
+    """Returns (hidden activations per layer, output pre-activations)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.input_dim:
         raise ValueError(f"input dimension {X.shape[1]} != {model.input_dim}")
@@ -110,25 +110,7 @@ def _forward_full(model: DnnModel, X: np.ndarray):
         acts.append(_sigmoid(a, a))
     z = a @ model.weights[-1]
     z += model.biases[-1]
-    return acts, z, _softmax(z)
-
-
-def forward(model: DnnModel, v: np.ndarray):
-    """Hidden activations and softmax output for one vector or a batch."""
-    v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    acts, _, probs = _forward_full(model, v)
-    if single:
-        return [a[0] for a in acts], probs[0]
-    return acts, probs
-
-
-def mean_cross_entropy(model: DnnModel, X: np.ndarray, Y: np.ndarray) -> float:
-    """Mean cross-entropy of one-hot labels Y under the model."""
-    _, z, _ = _forward_full(model, np.atleast_2d(X))
-    logp = z - z.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    return float(-(np.atleast_2d(Y) * logp).sum(axis=1).mean())
+    return acts, z
 
 
 def backprop_minibatch(
@@ -150,13 +132,13 @@ def backprop_minibatch(
     if X.shape[0] != Y.shape[0] or Y.shape[1] != 2:
         raise ValueError("labels must be one-hot rows matching the minibatch")
     m = X.shape[0]
-    acts, z, probs = _forward_full(model, X)
+    acts, z = _forward_full(model, X)
     logp = z - z.max(axis=1, keepdims=True)
     logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
     loss = float(-(Y * logp).sum(axis=1).mean())
 
     layer_inputs = [X] + acts
-    delta = (probs - Y) / m
+    delta = (_softmax(z) - Y) / m
     for i in range(len(model.weights) - 1, -1, -1):
         a, d, gb = layer_inputs[i], delta, delta.sum(axis=0)
         if i > 0:
@@ -184,7 +166,7 @@ def train_speaker_dnn(init: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) 
 
 def score_llr_batch(model: DnnModel, X: np.ndarray) -> np.ndarray:
     """log(o1) - log(o2) per row of X; for a softmax this is exactly z1 - z2."""
-    _, z, _ = _forward_full(model, X)
+    _, z = _forward_full(model, X)
     return z[:, 0] - z[:, 1]
 
 

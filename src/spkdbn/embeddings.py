@@ -258,15 +258,6 @@ def length_normalize(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def average_embeddings(vectors) -> np.ndarray:
-    """Componentwise arithmetic mean of a non-empty list of equal-length vectors."""
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vs:
-        raise ValueError("average_embeddings: empty input")
-    X = np.stack(vs)
-    return X.mean(axis=0)
-
-
 @dataclass(frozen=True)
 class Whitener:
     """Affine whitening transform: y = transform @ (x - mean)."""

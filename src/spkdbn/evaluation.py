@@ -22,14 +22,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .embeddings import (
-    ParseError,
-    Whitener,
-    _fmt,
-    apply_whitener,
-    average_embeddings,
-    length_normalize,
-)
+from .embeddings import ParseError, Whitener, _fmt, apply_whitener, length_normalize
 from .balance import cosine_score
 
 DCF_C_MISS = 10.0
@@ -80,7 +73,7 @@ def baseline_vector(vectors, whitener: Whitener) -> np.ndarray:
     vectors = np.atleast_2d(vectors)
     if vectors.shape[0] == 0:
         raise ValueError("no enrolled vectors")
-    return length_normalize(average_embeddings([apply_whitener(whitener, v) for v in vectors]))
+    return length_normalize(np.mean([apply_whitener(whitener, v) for v in vectors], axis=0))
 
 
 def score_baseline(model: np.ndarray, test: np.ndarray) -> float:
@@ -181,11 +174,6 @@ def evaluate_trials(scores, trials: Trials) -> EvalReport:
     eer, threshold = _eer(thr, p_miss, p_fa)
     min_dcf, _ = _min_dcf(thr, p_miss, p_fa)
     return EvalReport(eer, min_dcf, tuple(zip(p_fa.tolist(), p_miss.tolist())), threshold)
-
-
-def load_trials(path) -> Trials:
-    with open(path) as fh:
-        return parse_trials(fh, path)
 
 
 def parse_trials(lines, path) -> Trials:

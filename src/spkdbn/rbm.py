@@ -175,27 +175,9 @@ def _hidden_probs(rbm: RbmParams, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return _sigmoid(out, out)
 
 
-def sample_bernoulli(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Independent 0/1 samples with the given activation probabilities."""
-    probs = np.asarray(probs, dtype=float)
-    return _sample_bernoulli(probs, rng, np.empty(probs.shape))
-
-
 def _sample_bernoulli(probs: np.ndarray, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     rng.random(out=out)
     return np.less(out, probs, out=out)
-
-
-def reconstruct_visible(rbm: RbmParams, h: np.ndarray) -> np.ndarray:
-    """Mean-field visible reconstruction given hidden values.
-
-    Bernoulli visibles give sigmoid activations; Gaussian visibles give
-    the mean b_vis + W h (unit variance assumed, no sampling).
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape[-1] != rbm.n_hidden:
-        raise ValueError(f"hidden dimension {h.shape[-1]} != {rbm.n_hidden}")
-    return _reconstruct_visible(rbm, h, np.empty(h.shape[:-1] + (rbm.n_visible,)))
 
 
 def _reconstruct_visible(rbm: RbmParams, h: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -39,10 +39,6 @@ class DbnParams:
                     f"layer {k - 1} hidden size {self.layers[k - 1].n_hidden}"
                 )
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.layers[0].n_visible] + [l.n_hidden for l in self.layers]
-
     def copy(self) -> "DbnParams":
         return DbnParams([l.copy() for l in self.layers], self.normalized)
 

@@ -2,8 +2,11 @@
 
 The metric, selection and forward-pass oracles are pure-python loop code,
 deliberately written without reusing any vectorized library internals, so
-oracle agreement is a real cross-check and not a tautology.  The reader
-oracles at the end parse one line at a time, with `float()` per field.
+oracle agreement is a real cross-check and not a tautology.  The one
+exception is the fine-tuning loss: finite differences evaluate it once per
+parameter, so it is vectorised and reads the output pre-activations of the
+library's forward pass, which `forward_oracle` checks.  The reader oracles
+at the end parse one line at a time, with `float()` per field.
 """
 
 import math
@@ -11,6 +14,7 @@ import re
 
 import numpy as np
 
+from spkdbn.dnn import _forward_full
 from spkdbn.embeddings import Dataset, ParseError
 from spkdbn.evaluation import Trials
 
@@ -95,6 +99,13 @@ def forward_oracle(weights, biases, x):
     e = [math.exp(v - zmax) for v in z]
     s = sum(e)
     return acts, [v / s for v in e]
+
+
+def mean_cross_entropy_oracle(model, X, Y):
+    """Mean over the rows of -log softmax(z)[label] = log(1 + e^(z_other - z_label)),
+    for one-hot label rows Y and the 2-unit output pre-activations z."""
+    _, z = _forward_full(model, X)
+    return float(np.mean(np.logaddexp(0.0, (z * (1.0 - 2.0 * Y)).sum(axis=1))))
 
 
 # Line-by-line readers that the package's readers must match: the

@@ -3,12 +3,11 @@ import pytest
 
 from oracles import select_impostors_oracle
 from spkdbn.balance import (
-    ImpostorSelectionConfig,
     build_minibatch_plan,
     cosine_score,
     impostor_frequencies,
     kmeans_cosine,
-    select_impostors,
+    rank_impostors,
 )
 
 
@@ -35,10 +34,9 @@ def test_cosine_score_is_bitwise_the_linalg_norm_formula():
 def test_select_impostors_single_target():
     target = [np.array([1.0, 0.0])]
     impostors = np.array([[0.0, 1.0], [1.0, 0.1], [-1.0, 0.0]])
-    cfg = ImpostorSelectionConfig(n_local=1, kappa=1)
-    assert select_impostors(target, impostors, cfg) == [1]
     f = impostor_frequencies(target, impostors, 1)
     assert f.tolist() == [0, 1, 0]
+    assert rank_impostors(f, 1) == [1]
 
 
 def test_select_impostors_saturated_ties():
@@ -46,9 +44,8 @@ def test_select_impostors_saturated_ties():
     impostors = np.random.default_rng(0).normal(size=(6, 2))
     f = impostor_frequencies(targets, impostors, 6)
     assert f.tolist() == [4] * 6
-    cfg = ImpostorSelectionConfig(n_local=6, kappa=3)
     # all frequencies equal: tie-break by ascending index
-    assert select_impostors(targets, impostors, cfg) == [0, 1, 2]
+    assert rank_impostors(f, 3) == [0, 1, 2]
 
 
 def test_impostor_frequencies_breaks_a_tie_at_the_cut_by_ascending_index():
@@ -64,10 +61,10 @@ def test_select_impostors_matches_bruteforce_oracle():
     for _ in range(10):
         targets = rng.normal(size=(10, 8))
         impostors = rng.normal(size=(100, 8))
-        got = select_impostors(targets, impostors, ImpostorSelectionConfig(5, 20))
+        f = impostor_frequencies(targets, impostors, 5)
+        got = rank_impostors(f, 20)
         want, f_want = select_impostors_oracle(targets.tolist(), impostors.tolist(), 5, 20)
         assert got == want
-        f = impostor_frequencies(targets, impostors, 5)
         assert f.tolist() == f_want
         assert f.sum() == 5 * 10  # sum f_m = N * T
         assert len(set(got)) == len(got)

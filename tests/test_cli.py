@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_experiment, subset
+from oracles import select_impostors_oracle
 from spkdbn import cli
 from spkdbn.cli import (
     ExperimentConfig,
@@ -22,22 +23,16 @@ from spkdbn.cli import (
     resolve_config,
     run_pipeline,
 )
-from spkdbn.balance import (
-    ImpostorSelectionConfig,
-    cosine_score,
-    impostor_frequencies,
-    select_impostors,
-)
+from spkdbn.balance import cosine_score
 from spkdbn.embeddings import (
     Dataset,
     SynthConfig,
-    average_embeddings,
     fit_whitener,
     generate_synthetic,
     load_embeddings,
     save_embeddings,
 )
-from spkdbn.evaluation import load_trials, save_scores
+from spkdbn.evaluation import parse_trials, save_scores
 from spkdbn.udbn import load_dbn, normalize_udbn
 
 STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
@@ -273,6 +268,16 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_file)]) == 1
     assert "missing input" in capsys.readouterr().err
 
+    # each missing input is named by its key: an unset one as such, an
+    # absent file with its path
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    del pairs["background"]
+    pairs["trials"] = str(tmp_path / "nope.txt")
+    assert main(["run", "--config", _write_config(cfg_file, pairs)]) == 1
+    assert capsys.readouterr().err == ("spkdbn: stage validate: missing input file(s): "
+                                       f"background (not set), trials={tmp_path / 'nope.txt'}\n")
+    assert not os.path.exists(pairs["out"])
+
 
 @pytest.mark.parametrize("bad", [
     {"ft_momentum": "1"},
@@ -300,6 +305,12 @@ def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys,
     assert main(["run", "--config", cfg_file]) == 1
     assert "stage config:" in capsys.readouterr().err
     assert not os.path.exists(pairs["out"])
+
+
+@pytest.mark.parametrize("key", ["impostor_n", "impostor_kappa"])
+def test_config_names_an_impostor_count_below_one_and_its_value(key):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
+        ExperimentConfig(**{key: 0})
 
 
 @pytest.mark.parametrize("too_large, message", [
@@ -342,7 +353,7 @@ def test_cli_evaluate_rejects_a_nan_score(tmp_path, capsys):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     out = tmp_path / "exp" / "out"
     out.mkdir()
-    trials = load_trials(pairs["trials"])
+    trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
     scores = np.arange(len(trials), dtype=float)
     for system in ("dnn", "baseline", "fused"):
         save_scores(scores, trials, out / f"scores_{system}.txt")
@@ -363,7 +374,7 @@ def test_cli_fuse_rejects_a_nan_score_by_line(tmp_path, capsys):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     out = tmp_path / "exp" / "out"
     out.mkdir()
-    trials = load_trials(pairs["trials"])
+    trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
     for system in ("dnn", "baseline"):
         save_scores(np.arange(len(trials), dtype=float), trials, out / f"scores_{system}.txt")
     lines = (out / "scores_dnn.txt").read_text().splitlines()
@@ -380,10 +391,9 @@ def test_cli_select_impostors_stage_uses_the_configured_n(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["select-impostors", "--config", cfg_file]) == 0
     background = load_embeddings(pairs["background"])
-    targets = [average_embeddings(v) for v in load_embeddings(pairs["enroll"]).by_speaker().values()]
+    targets = [v.mean(axis=0).tolist() for v in load_embeddings(pairs["enroll"]).by_speaker().values()]
     kappa = int(pairs["impostor_kappa"])
-    selected = select_impostors(targets, background.vectors, ImpostorSelectionConfig(3, kappa))
-    freqs = impostor_frequencies(targets, background.vectors, 3)
+    selected, freqs = select_impostors_oracle(targets, background.vectors.tolist(), 3, kappa)
     lines = (tmp_path / "exp" / "out" / "selected_impostors.txt").read_text().splitlines()
     assert lines == [f"{background.ids[i]} {freqs[i]}" for i in selected]
     # kappa=60 keeps every impostor that a top-3 list names: N * T picks in all

@@ -4,19 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import forward_oracle
+from oracles import forward_oracle, mean_cross_entropy_oracle
 from spkdbn.balance import build_minibatch_plan
 from spkdbn.embeddings import ParseError
 from spkdbn.dnn import (
     DnnModel,
     DnnVelocity,
     FineTuneConfig,
+    _forward_full,
+    _softmax,
     backprop_minibatch,
-    forward,
     init_from_dbn,
     init_random,
     load_dnn,
-    mean_cross_entropy,
     save_dnn,
     score_llr_batch,
     train_speaker_dnn,
@@ -67,17 +67,17 @@ def test_init_from_dbn_differs_per_adapted_model():
 
 def test_forward_all_zero_parameters():
     m = DnnModel([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)])
-    acts, probs = forward(m, np.array([1.0, -2.0, 0.5]))
+    acts, z = _forward_full(m, np.array([[1.0, -2.0, 0.5]]))
     np.testing.assert_allclose(acts[0], 0.5)
-    np.testing.assert_allclose(probs, [0.5, 0.5])
+    np.testing.assert_allclose(_softmax(z), [[0.5, 0.5]])
     assert score_llr_batch(m, np.array([[1.0, -2.0, 0.5]]))[0] == 0.0
 
 
 def test_softmax_shift_invariance():
     m = DnnModel([np.zeros((2, 3)), np.zeros((3, 2))],
                  [np.zeros(3), np.array([7.3, 7.3])])
-    _, probs = forward(m, np.zeros(2))
-    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
+    _, z = _forward_full(m, np.zeros((1, 2)))
+    np.testing.assert_allclose(_softmax(z), [[0.5, 0.5]], atol=1e-15)
 
 
 def _random_model(sizes, seed):
@@ -90,11 +90,12 @@ def _random_model(sizes, seed):
 def test_forward_matches_loop_oracle():
     m = _random_model([4, 5, 3, 2], seed=7)
     x = np.random.default_rng(8).normal(size=4)
-    acts, probs = forward(m, x)
+    acts, z = _forward_full(m, x[None])
+    probs = _softmax(z)[0]
     o_acts, o_probs = forward_oracle([W.tolist() for W in m.weights],
                                      [b.tolist() for b in m.biases], x.tolist())
     for a, oa in zip(acts, o_acts):
-        np.testing.assert_allclose(a, oa, atol=1e-12)
+        np.testing.assert_allclose(a[0], oa, atol=1e-12)
     np.testing.assert_allclose(probs, o_probs, atol=1e-12)
     assert abs(probs.sum() - 1.0) < 1e-12
     assert np.all(probs > 0.0)
@@ -103,7 +104,7 @@ def test_forward_matches_loop_oracle():
 def test_forward_dimension_check():
     m = _random_model([4, 3, 2], seed=0)
     with pytest.raises(ValueError):
-        forward(m, np.zeros(5))
+        _forward_full(m, np.zeros((1, 5)))
 
 
 def _num_grad(model, X, Y, step=1e-5):
@@ -114,9 +115,9 @@ def _num_grad(model, X, Y, step=1e-5):
         for idx in np.ndindex(W.shape):
             orig = W[idx]
             W[idx] = orig + step
-            up = mean_cross_entropy(model, X, Y)
+            up = mean_cross_entropy_oracle(model, X, Y)
             W[idx] = orig - step
-            dn = mean_cross_entropy(model, X, Y)
+            dn = mean_cross_entropy_oracle(model, X, Y)
             W[idx] = orig
             g[idx] = (up - dn) / (2 * step)
         grads_W.append(g)
@@ -125,9 +126,9 @@ def _num_grad(model, X, Y, step=1e-5):
         for idx in np.ndindex(b.shape):
             orig = b[idx]
             b[idx] = orig + step
-            up = mean_cross_entropy(model, X, Y)
+            up = mean_cross_entropy_oracle(model, X, Y)
             b[idx] = orig - step
-            dn = mean_cross_entropy(model, X, Y)
+            dn = mean_cross_entropy_oracle(model, X, Y)
             b[idx] = orig
             g[idx] = (up - dn) / (2 * step)
         grads_b.append(g)
@@ -192,20 +193,22 @@ def test_single_step_decreases_loss():
     m = _random_model([4, 5, 2], seed=9)
     X = np.random.default_rng(1).normal(size=(1, 4))
     Y = np.array([[0.0, 1.0]])
-    before = mean_cross_entropy(m, X, Y)
+    before = mean_cross_entropy_oracle(m, X, Y)
     cfg = FineTuneConfig(learning_rate=1e-4, epochs=1, momentum=0.0, weight_decay=0.0)
-    backprop_minibatch(m, X, Y, cfg, DnnVelocity.zeros_like(m))
-    assert mean_cross_entropy(m, X, Y) < before
+    # the step returns its pre-update loss
+    assert backprop_minibatch(m, X, Y, cfg, DnnVelocity.zeros_like(m)) == pytest.approx(
+        before, rel=1e-12)
+    assert mean_cross_entropy_oracle(m, X, Y) < before
 
 
 def test_replicated_targets_have_identical_activations():
     m = _random_model([3, 4, 2], seed=10)
     v = np.array([0.3, -0.7, 1.1])
     X = np.tile(v, (4, 1))
-    acts, probs = forward(m, X)
+    acts, z = _forward_full(m, X)
     for a in acts:
         assert np.all(a == a[0])
-    assert np.all(probs == probs[0])
+    assert np.all(z == z[0])
 
 
 def _toy_plan(seed=0):
@@ -221,9 +224,9 @@ def test_train_speaker_dnn_reduces_loss_and_is_deterministic():
     cfg = FineTuneConfig(learning_rate=0.05, epochs=50, momentum=0.9, weight_decay=0.0)
     X = plan.batches.reshape(-1, 3)
     Y = np.tile(plan.labels, (len(plan.batches), 1))
-    before = mean_cross_entropy(init, X, Y)
+    before = mean_cross_entropy_oracle(init, X, Y)
     trained = train_speaker_dnn(init, plan, cfg)
-    after = mean_cross_entropy(trained, X, Y)
+    after = mean_cross_entropy_oracle(trained, X, Y)
     assert after < before
     # the input model must be untouched, and re-training reproduces bytes
     assert np.all((init.weights[0] >= 0.0) & (init.weights[0] < 0.01))
@@ -251,8 +254,8 @@ def test_score_llr_values():
     b = np.array([np.log(9.0), 0.0])
     m = DnnModel([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), b])
     assert score_llr_batch(m, np.zeros((1, 2)))[0] == pytest.approx(np.log(9.0), abs=1e-12)
-    _, probs = forward(m, np.zeros(2))
-    np.testing.assert_allclose(probs, [0.9, 0.1], atol=1e-12)
+    _, z = _forward_full(m, np.zeros((1, 2)))
+    np.testing.assert_allclose(_softmax(z), [[0.9, 0.1]], atol=1e-12)
     batch = score_llr_batch(m, np.zeros((3, 2)))
     np.testing.assert_allclose(batch, np.log(9.0), atol=1e-12)
 

@@ -9,7 +9,6 @@ from spkdbn.embeddings import (
     SynthConfig,
     Whitener,
     apply_whitener,
-    average_embeddings,
     fit_whitener,
     generate_synthetic,
     length_normalize,
@@ -174,22 +173,6 @@ def test_length_normalize():
     np.testing.assert_allclose(length_normalize(v), v, atol=1e-12)  # idempotent
     with pytest.raises(ValueError):
         length_normalize([0.0, 0.0])
-
-
-def test_average_embeddings():
-    np.testing.assert_allclose(average_embeddings([[1.0, 0.0], [0.0, 1.0]]), [0.5, 0.5])
-    v = np.array([2.0, -1.0])
-    np.testing.assert_array_equal(average_embeddings([v]), v)
-    np.testing.assert_allclose(average_embeddings([v] * 5), v, atol=1e-12)
-    rng = np.random.default_rng(1)
-    vs = [rng.normal(size=6) for _ in range(8)]
-    naive = np.zeros(6)
-    for x in vs:
-        naive = naive + x
-    naive /= 8.0
-    np.testing.assert_allclose(average_embeddings(vs), naive, atol=1e-12)
-    with pytest.raises(ValueError):
-        average_embeddings([])
 
 
 def _exactly_white_matrix(n, d, seed):

@@ -24,8 +24,8 @@ from spkdbn.evaluation import (
     evaluate_trials,
     fuse,
     load_scores,
-    load_trials,
     mean_var_normalize,
+    parse_trials,
     save_report,
     save_scores,
     score_baseline,
@@ -289,16 +289,11 @@ def test_evaluate_trials_sweeps_once_and_matches_the_three_metrics(monkeypatch):
 
 
 def test_trial_and_score_files(tmp_path):
-    p = tmp_path / "trials.txt"
-    p.write_text("m2 t1 nontarget\nm1 t2 nontarget\n# comment\nm1 t1 target\n")
-    trials = load_trials(p)
+    trials = parse_trials(["m2 t1 nontarget\n", "m1 t2 nontarget\n", "# comment\n",
+                           "m1 t1 target\n"], "trials.txt")
     assert trials.models == ("m1", "m1", "m2")
     assert trials.tests == ("t1", "t2", "t1")
     assert trials.keys == ("target", "nontarget", "nontarget")
-    bad = tmp_path / "bad.txt"
-    bad.write_text("m1 t1 bogus\n")
-    with pytest.raises(Exception):
-        load_trials(bad)
 
     sp = tmp_path / "scores.txt"
     scores = np.array([1.25, -0.5, 0.1])
@@ -309,13 +304,6 @@ def test_trial_and_score_files(tmp_path):
     np.testing.assert_array_equal(back, scores)
     with pytest.raises(ValueError):
         save_scores(scores[:2], trials, sp)
-
-
-def test_load_trials_rejects_a_repeated_pair(tmp_path):
-    p = tmp_path / "trials.txt"
-    p.write_text("m1 t1 target\nm1 t2 nontarget\nm1 t1 nontarget\n")
-    with pytest.raises(ParseError, match=re.escape(f"{p}:3: trial 'm1 t1' repeats line 1")):
-        load_trials(p)
 
 
 def test_trials_columns_are_checked():

@@ -10,12 +10,12 @@ from spkdbn.rbm import (
     RbmParams,
     RbmTrainConfig,
     RbmVelocity,
+    _reconstruct_visible,
+    _sample_bernoulli,
     _sigmoid,
     cd1_step,
     hidden_probs,
     init_rbm,
-    reconstruct_visible,
-    sample_bernoulli,
     train_rbm,
 )
 
@@ -57,21 +57,31 @@ def test_hidden_probs_trivial_and_oracle():
 
 
 def test_sample_bernoulli():
+    def sample(probs, rng):
+        out = np.empty(len(probs))
+        assert _sample_bernoulli(np.asarray(probs), rng, out) is out
+        return out
+
     rng = np.random.default_rng(0)
-    assert np.all(sample_bernoulli(np.zeros(10), rng) == 0.0)
-    assert np.all(sample_bernoulli(np.ones(10), rng) == 1.0)
-    draws = sample_bernoulli(np.full(100_000, 0.5), np.random.default_rng(1))
+    assert np.all(sample(np.zeros(10), rng) == 0.0)
+    assert np.all(sample(np.ones(10), rng) == 1.0)
+    draws = sample(np.full(100_000, 0.5), np.random.default_rng(1))
     assert abs(draws.mean() - 0.5) < 0.01
-    a = sample_bernoulli(np.full(50, 0.3), np.random.default_rng(5))
-    b = sample_bernoulli(np.full(50, 0.3), np.random.default_rng(5))
+    a = sample(np.full(50, 0.3), np.random.default_rng(5))
+    b = sample(np.full(50, 0.3), np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
 def test_reconstruct_visible():
+    def reconstruct(rbm, h):
+        out = np.empty(rbm.n_visible)
+        assert _reconstruct_visible(rbm, h, out) is out
+        return out
+
     rbm_g = RbmParams("gaussian", np.zeros((3, 2)), np.array([1.0, -2.0, 0.5]), np.zeros(2))
-    np.testing.assert_array_equal(reconstruct_visible(rbm_g, np.ones(2)), rbm_g.b_vis)
+    np.testing.assert_array_equal(reconstruct(rbm_g, np.ones(2)), rbm_g.b_vis)
     rbm_b = RbmParams("bernoulli", np.zeros((3, 2)), np.zeros(3), np.zeros(2))
-    np.testing.assert_allclose(reconstruct_visible(rbm_b, np.ones(2)), 0.5)
+    np.testing.assert_allclose(reconstruct(rbm_b, np.ones(2)), 0.5)
 
     rng = np.random.default_rng(8)
     rbm = RbmParams("bernoulli", rng.normal(size=(3, 2)), rng.normal(size=3), rng.normal(size=2))
@@ -80,7 +90,7 @@ def test_reconstruct_visible():
         [1.0 / (1.0 + np.exp(-(rbm.b_vis[i] + sum(h[j] * rbm.W[i, j] for j in range(2)))))
          for i in range(3)]
     )
-    np.testing.assert_allclose(reconstruct_visible(rbm, h), expected, atol=1e-12)
+    np.testing.assert_allclose(reconstruct(rbm, h), expected, atol=1e-12)
 
 
 def test_sigmoid_edges_are_exact_and_silent():

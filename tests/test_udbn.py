@@ -25,7 +25,7 @@ def _cfg(seed=0, epochs=3, lr=0.01):
 def test_train_udbn_shapes_and_kinds():
     X = _toy_data()
     dbn = train_udbn(X, [8, 8], [_cfg(1), _cfg(2)])
-    assert dbn.layer_sizes == [6, 8, 8]
+    assert [layer.W.shape for layer in dbn.layers] == [(6, 8), (8, 8)]
     assert dbn.layers[0].visible_kind == "gaussian"
     assert dbn.layers[1].visible_kind == "bernoulli"
     assert not dbn.normalized
@@ -137,7 +137,7 @@ def test_adapt_touches_only_requested_layers():
     assert not np.array_equal(out.layers[0].W, udbn.layers[0].W)
     assert np.array_equal(out.layers[1].W, udbn.layers[1].W)
     assert np.array_equal(out.layers[1].b_hid, udbn.layers[1].b_hid)
-    assert out.layer_sizes == udbn.layer_sizes  # chain still valid
+    assert [a.W.shape for a in out.layers] == [b.W.shape for b in udbn.layers]
 
 
 def test_adapt_differs_per_speaker():

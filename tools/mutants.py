@@ -39,6 +39,7 @@ MUTANTS = {
         "balance", "np.lexsort((idx, -scores))", "np.lexsort((-idx, -scores))"),
     "stage-impostor-n-one": (
         "cli", "inputs.background.vectors, cfg.impostor_n)", "inputs.background.vectors, 1)"),
+    "impostor-n-unchecked": ("cli", "if self.impostor_n < 1:", "if False:"),
     "no-empty-cluster-repair": (
         "balance", "new_assign = _repair_empty_clusters(new_assign, sims, k)",
         "new_assign = new_assign"),
@@ -88,8 +89,8 @@ MUTANTS = {
     # scoring, fusion and evaluation
     "baseline-unwhitened": ("embeddings", "return w.transform @ (v - w.mean)", "return v"),
     "baseline-average-before-whitening": (
-        "evaluation", "average_embeddings([apply_whitener(whitener, v) for v in vectors])",
-        "apply_whitener(whitener, average_embeddings(vectors))"),
+        "evaluation", "np.mean([apply_whitener(whitener, v) for v in vectors], axis=0)",
+        "apply_whitener(whitener, np.mean(vectors, axis=0))"),
     "baseline-first-session-only": (
         "cli", "baseline_vector(groups[model_id], whitener)",
         "baseline_vector(groups[model_id][:1], whitener)"),
