@@ -13,23 +13,8 @@ one-hot label block that all of them share.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from dataclasses import dataclass
-
-
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity a.b / (|a||b|)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    ra, rb = a.ravel(order="K"), b.ravel(order="K")  # np.linalg.norm's sum, without its overhead
-    na, nb = math.sqrt(ra.dot(ra)), math.sqrt(rb.dot(rb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for the zero vector")
-    return float(a @ b / (na * nb))
 
 
 def _unit_rows(X: np.ndarray, what: str) -> np.ndarray:

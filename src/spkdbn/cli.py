@@ -129,24 +129,18 @@ _PRESETS = {
                    "ft_lr": 0.08, "ft_epochs": 500},
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_TUPLE_FLOAT_KEYS = {"adapt_lr"}
-_TUPLE_INT_KEYS = {"adapt_epochs"}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _coerce(key: str, value: str):
-    if key not in _FIELD_TYPES:
+    """`value` as the type of the key's default; a tuple key's value is a
+    comma-separated list, each item of the type of the default's items."""
+    if key not in _DEFAULTS:
         raise ValueError(f"unknown config key {key!r}")
-    if key in _TUPLE_FLOAT_KEYS:
-        return tuple(float(x) for x in value.split(",") if x)
-    if key in _TUPLE_INT_KEYS:
-        return tuple(int(x) for x in value.split(",") if x)
-    t = _FIELD_TYPES[key]
-    if t in ("int", int):
-        return int(value)
-    if t in ("float", float):
-        return float(value)
-    return value
+    default = _DEFAULTS[key]
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in value.split(",") if x)
+    return type(default)(value)
 
 
 def parse_config_file(path) -> dict:
@@ -231,8 +225,6 @@ class _Paths:
     out: str
 
     @property
-    def udbn(self): return os.path.join(self.out, "udbn.dbn")
-    @property
     def udbn_norm(self): return os.path.join(self.out, "udbn_norm.dbn")
     @property
     def whitener(self): return os.path.join(self.out, "whitener.npz")
@@ -242,8 +234,6 @@ class _Paths:
     def centroids(self): return os.path.join(self.out, "centroids.txt")
     @property
     def models_dir(self): return os.path.join(self.out, "models")
-    @property
-    def models_list(self): return os.path.join(self.out, "models.txt")
 
     def model(self, speaker_id: str) -> str:
         return os.path.join(self.models_dir, f"{speaker_id}.dnn")
@@ -358,7 +348,6 @@ def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> N
                          f"{min(cfg.impostor_kappa, m)} impostors kept from {m} background vectors")
     model = udbn.train_udbn(inputs.background.vectors, [cfg.hidden_size] * cfg.depth,
                             _rbm_configs(cfg))
-    udbn.save_dbn(model, paths.udbn)
     udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)
     save_arrays(paths.whitener, "whitener", mean=whitener.mean, transform=whitener.transform)
 
@@ -421,9 +410,6 @@ def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs, 
     else:
         for t in tasks:
             _train_one_speaker(t)
-    with open(paths.models_list, "w") as fh:
-        for spk in inputs.speakers:
-            fh.write(f"{spk}\n")
 
 
 def _model_blocks(trials: evaluation.Trials, enrolled) -> dict[str, slice]:
@@ -436,8 +422,7 @@ def _model_blocks(trials: evaluation.Trials, enrolled) -> dict[str, slice]:
 
 def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     test, trials = inputs.test, inputs.trials
-    with open(paths.models_list) as fh:
-        blocks = _model_blocks(trials, set(fh.read().split()))
+    blocks = _model_blocks(trials, inputs.speakers)
     scores = np.empty(len(trials))
     for model_id, block in blocks.items():
         model = dnn.load_dnn(paths.model(model_id))
@@ -477,14 +462,13 @@ def stage_evaluate(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> Non
 # The pipeline in order, as (name, artifacts(paths, inputs), run(cfg, paths, inputs, jobs)).
 # Each run looks its stage_* function up when called, so a wrapper put on this module runs.
 STAGES = (
-    ("train-udbn", lambda paths, inputs: [paths.udbn, paths.udbn_norm, paths.whitener],
+    ("train-udbn", lambda paths, inputs: [paths.udbn_norm, paths.whitener],
      lambda cfg, paths, inputs, jobs: stage_train_udbn(cfg, paths, inputs)),
     ("select-impostors", lambda paths, inputs: [paths.selected],
      lambda cfg, paths, inputs, jobs: stage_select_impostors(cfg, paths, inputs)),
     ("cluster", lambda paths, inputs: [paths.centroids],
      lambda cfg, paths, inputs, jobs: stage_cluster(cfg, paths, inputs)),
-    ("train-speakers",
-     lambda paths, inputs: [paths.model(spk) for spk in inputs.speakers] + [paths.models_list],
+    ("train-speakers", lambda paths, inputs: [paths.model(spk) for spk in inputs.speakers],
      lambda cfg, paths, inputs, jobs: stage_train_speakers(cfg, paths, inputs, jobs)),
     ("score", lambda paths, inputs: [paths.scores("dnn")],
      lambda cfg, paths, inputs, jobs: stage_score_dnn(cfg, paths, inputs)),

@@ -23,7 +23,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .embeddings import ParseError, Whitener, _fmt, apply_whitener, length_normalize
-from .balance import cosine_score
 
 DCF_C_MISS = 10.0
 DCF_C_FA = 1.0
@@ -59,11 +58,11 @@ class Trials:
                 for m in dict.fromkeys(self.models)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     eer: float
     min_dcf: float
-    det_points: tuple[tuple[float, float], ...]  # (p_fa, p_miss) per threshold
+    det_points: np.ndarray  # (n, 2) float64: (p_fa, p_miss) per threshold, in threshold order
     threshold_at_eer: float
 
 
@@ -77,8 +76,17 @@ def baseline_vector(vectors, whitener: Whitener) -> np.ndarray:
 
 
 def score_baseline(model: np.ndarray, test: np.ndarray) -> float:
-    """Cosine similarity of two `baseline_vector`s, a model's and a test's."""
-    return cosine_score(model, test)
+    """Cosine similarity a.b / (|a||b|) of two `baseline_vector`s, a model's
+    and a test's."""
+    a = np.asarray(model, dtype=float)
+    b = np.asarray(test, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
+    ra, rb = a.ravel(order="K"), b.ravel(order="K")  # np.linalg.norm's sum, without its overhead
+    na, nb = math.sqrt(ra.dot(ra)), math.sqrt(rb.dot(rb))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine undefined for the zero vector")
+    return float(a @ b / (na * nb))
 
 
 def mean_var_normalize(scores) -> np.ndarray:
@@ -151,19 +159,14 @@ def _eer(thr, p_miss, p_fa):
     return float(eer), float(t)
 
 
-def compute_min_dcf(
-    scores,
-    keys,
-    c_miss: float = DCF_C_MISS,
-    c_fa: float = DCF_C_FA,
-    p_target: float = DCF_P_TARGET,
-) -> tuple[float, float]:
-    """Minimum of c_miss*p_target*P_miss + c_fa*(1-p_target)*P_fa over thresholds."""
-    return _min_dcf(*_operating_points(scores, keys), c_miss, c_fa, p_target)
+def compute_min_dcf(scores, keys) -> tuple[float, float]:
+    """Minimum of C_miss*P_target*P_miss + C_fa*(1-P_target)*P_fa over
+    thresholds, with the DCF_* costs and prior, and its threshold."""
+    return _min_dcf(*_operating_points(scores, keys))
 
 
-def _min_dcf(thr, p_miss, p_fa, c_miss=DCF_C_MISS, c_fa=DCF_C_FA, p_target=DCF_P_TARGET):
-    dcf = c_miss * p_target * p_miss + c_fa * (1.0 - p_target) * p_fa
+def _min_dcf(thr, p_miss, p_fa):
+    dcf = DCF_C_MISS * DCF_P_TARGET * p_miss + DCF_C_FA * (1.0 - DCF_P_TARGET) * p_fa
     i = int(np.argmin(dcf))
     return float(dcf[i]), float(thr[i])
 
@@ -173,7 +176,7 @@ def evaluate_trials(scores, trials: Trials) -> EvalReport:
     thr, p_miss, p_fa = _operating_points(scores, trials.keys)
     eer, threshold = _eer(thr, p_miss, p_fa)
     min_dcf, _ = _min_dcf(thr, p_miss, p_fa)
-    return EvalReport(eer, min_dcf, tuple(zip(p_fa.tolist(), p_miss.tolist())), threshold)
+    return EvalReport(eer, min_dcf, np.column_stack((p_fa, p_miss)), threshold)
 
 
 def parse_trials(lines, path) -> Trials:
@@ -262,12 +265,11 @@ def save_report(report: EvalReport, report_path, det_csv_path) -> None:
         fh.write(f"threshold_at_eer={_fmt(report.threshold_at_eer)}\n")
         # presentation only: EER as percent, minDCF scaled by 1e4
         fh.write(f"eer_pct={_fmt(100.0 * report.eer)} min_dcf_x1e4={_fmt(1e4 * report.min_dcf)}\n")
-    points = np.array(report.det_points)
+    points = report.det_points
     same = points[1:] == points[:-1]  # row i: point i+1 shares (p_fa, p_miss) with point i
     keep = np.ones(len(points), dtype=bool)
     keep[1:-1] = ~(same[:-1] & same[1:]).any(axis=1)
     with open(det_csv_path, "w") as fh:
         fh.write("p_fa,p_miss\n")
-        for i in np.flatnonzero(keep).tolist():
-            p_fa, p_miss = report.det_points[i]
+        for p_fa, p_miss in points[keep].tolist():
             fh.write(f"{_fmt(p_fa)},{_fmt(p_miss)}\n")

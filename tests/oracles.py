@@ -2,10 +2,13 @@
 
 The metric, selection and forward-pass oracles are pure-python loop code,
 deliberately written without reusing any vectorized library internals, so
-oracle agreement is a real cross-check and not a tautology.  The one
-exception is the fine-tuning loss: finite differences evaluate it once per
+oracle agreement is a real cross-check and not a tautology.  There are two
+exceptions.  The fine-tuning loss: finite differences evaluate it once per
 parameter, so it is vectorised and reads the output pre-activations of the
-library's forward pass, which `forward_oracle` checks.  The reader oracles
+library's forward pass, which `forward_oracle` checks.  And the cosine that
+score files are compared with byte for byte: `cosine_bits_oracle` is the
+`np.linalg.norm` formula, which the package's cosine reproduces bit for bit
+and a loop sum does not.  The reader oracles
 at the end parse one line at a time, with `float()` per field.
 """
 
@@ -24,6 +27,12 @@ def cosine_oracle(a, b):
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(y * y for y in b))
     return dot / (na * nb)
+
+
+def cosine_bits_oracle(a, b):
+    """The cosine of two float64 vectors by the `np.linalg.norm` formula,
+    whose bits the package's cosine must reproduce."""
+    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def select_impostors_oracle(targets, impostors, n_local, kappa):

@@ -4,31 +4,10 @@ import pytest
 from oracles import select_impostors_oracle
 from spkdbn.balance import (
     build_minibatch_plan,
-    cosine_score,
     impostor_frequencies,
     kmeans_cosine,
     rank_impostors,
 )
-
-
-def test_cosine_score_values():
-    assert cosine_score([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine_score([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    assert cosine_score([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=1e-8)
-    with pytest.raises(ValueError):
-        cosine_score([0.0, 0.0], [1.0, 0.0])
-    with pytest.raises(ValueError):
-        cosine_score([1.0], [1.0, 0.0])
-
-
-def test_cosine_score_is_bitwise_the_linalg_norm_formula():
-    # contiguous, strided and reversed views: np.linalg.norm ravels each in
-    # memory order and sums x.dot(x), whose bits a strided dot may not share
-    rng = np.random.default_rng(9)
-    for d in (3, 100, 400):
-        M = rng.normal(size=(2, 3 * d)) * rng.choice([1e-150, 1.0, 1e150], size=(2, 1))
-        for a, b in ((M[0, :d], M[1, :d]), (M[0, ::3], M[1, 1::3]), (M[0, ::-1], M[1, ::-1])):
-            assert cosine_score(a, b) == float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def test_select_impostors_single_target():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_experiment, subset
-from oracles import select_impostors_oracle
+from oracles import cosine_bits_oracle, select_impostors_oracle
 from spkdbn import cli
 from spkdbn.cli import (
     ExperimentConfig,
@@ -23,7 +23,6 @@ from spkdbn.cli import (
     resolve_config,
     run_pipeline,
 )
-from spkdbn.balance import cosine_score
 from spkdbn.embeddings import (
     Dataset,
     SynthConfig,
@@ -33,7 +32,7 @@ from spkdbn.embeddings import (
     save_embeddings,
 )
 from spkdbn.evaluation import parse_trials, save_scores
-from spkdbn.udbn import load_dbn, normalize_udbn
+from spkdbn.udbn import load_dbn, normalize_udbn, train_udbn
 
 STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
                   "score", "score-baseline", "fuse", "evaluate")
@@ -93,6 +92,16 @@ def test_preset_config_hash_is_pinned(task, depth):
     assert config_hash(cfg) == PRESET_HASHES[(task, depth)]
 
 
+def test_readme_config_example_parses_and_resolves(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"^```ini\n(.*?)^```", readme, re.S | re.M).group(1)
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(example)
+    cfg = resolve_config(parse_config_file(cfg_file))
+    assert (cfg.background, cfg.trials, cfg.out) == ("data/background.txt", "data/trials.txt", "out")
+    assert (cfg.task, cfg.depth, cfg.master_seed) == ("single", 1, 7)
+
+
 def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
     cfg_file = tmp_path / "exp.cfg"
     cfg_file.write_text("out=a\n# comment\ntask=single\nout=b\n")
@@ -137,11 +146,15 @@ def test_pipeline_end_to_end_and_artifacts(tmp_path):
     cfg = resolve_config(pairs)
     reports = run_pipeline(cfg)
     out = tmp_path / "exp" / "out"
-    for name in ("udbn.dbn", "udbn_norm.dbn", "whitener.npz", "selected_impostors.txt",
+    for name in ("udbn_norm.dbn", "whitener.npz", "selected_impostors.txt",
                  "centroids.txt", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
                  "report_dnn.txt", "det_dnn.csv"):
         assert (out / name).exists(), name
     assert (out / "models" / "spk0000.dnn").exists()
+    # the raw UDBN and a list of the enrolled speakers would repeat what
+    # udbn_norm.dbn and the enrollment file already hold
+    assert not (out / "udbn.dbn").exists()
+    assert not (out / "models.txt").exists()
     assert set(reports) == {"dnn", "baseline", "fused"}
     line = (out / "report_dnn.txt").read_text().splitlines()[0]
     assert line.startswith("eer=")
@@ -220,8 +233,7 @@ def test_cli_stage_writes_only_its_own_artifacts(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["train-udbn", "--config", cfg_file]) == 0
     assert sorted(os.listdir(tmp_path / "exp" / "out")) == [
-        "udbn.dbn", "udbn.dbn.hash", "udbn_norm.dbn", "udbn_norm.dbn.hash",
-        "whitener.npz", "whitener.npz.hash"]
+        "udbn_norm.dbn", "udbn_norm.dbn.hash", "whitener.npz", "whitener.npz.hash"]
 
 
 def test_cli_writes_the_normalized_udbn(tmp_path):
@@ -229,7 +241,10 @@ def test_cli_writes_the_normalized_udbn(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["train-udbn", "--config", cfg_file]) == 0
     written = load_dbn(tmp_path / "exp" / "out" / "udbn_norm.dbn")
-    expected = normalize_udbn(load_dbn(tmp_path / "exp" / "out" / "udbn.dbn"))
+    cfg = resolve_config(pairs)
+    background = load_embeddings(pairs["background"]).vectors
+    expected = normalize_udbn(train_udbn(background, [cfg.hidden_size] * cfg.depth,
+                                         cli._rbm_configs(cfg)))
     assert written.normalized and expected.normalized
     assert len(written.layers) == len(expected.layers) == 2
     for got, want in zip(written.layers, expected.layers):
@@ -422,9 +437,8 @@ def test_cli_multi_task_trains_a_speaker_with_fewer_sessions(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     for cmd in STAGE_COMMANDS[:4]:
         assert main([cmd, "--config", cfg_file]) == 0, cmd
-    out = tmp_path / "exp" / "out"
-    assert (out / "models.txt").read_text().split() == [f"spk{s:04d}" for s in range(6)]
-    assert (out / "models" / "spk0004.dnn").exists()
+    models = sorted(p.name for p in (tmp_path / "exp" / "out" / "models").glob("*.dnn"))
+    assert models == [f"spk{s:04d}.dnn" for s in range(6)]
 
 
 def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
@@ -454,7 +468,7 @@ def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
         enrolled = enroll.vectors[[s == spk for s in enroll.speakers]]
         model = unit(np.stack([w.transform @ (e - w.mean) for e in enrolled]).mean(axis=0))
         for utt, t in zip(test.ids, test.vectors):
-            score = cosine_score(model, unit(w.transform @ (t - w.mean)))
+            score = cosine_bits_oracle(model, unit(w.transform @ (t - w.mean)))
             want.append(f"{spk} {utt} {'%.17g' % score}\n")
     assert (tmp_path / "exp" / "out" / "scores_baseline.txt").read_text() == "".join(want)
 
@@ -571,7 +585,8 @@ def test_input_rewritten_after_the_stamp_fails_the_stage_that_parses_it(tmp_path
     assert main(["train-udbn", "--config", cfg_file]) == 0
     fresh = tmp_path / "fresh"
     assert main(["train-udbn", "--config", cfg_file, "--override", f"out={fresh}"]) == 0
-    assert _file_hash(fresh / "udbn.dbn") == _file_hash(os.path.join(pairs["out"], "udbn.dbn"))
+    for name in ("udbn_norm.dbn", "whitener.npz"):
+        assert _file_hash(fresh / name) == _file_hash(os.path.join(pairs["out"], name)), name
 
 
 def test_crlf_inputs_give_identical_scores_reports_and_det_files(tmp_path):

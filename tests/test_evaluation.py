@@ -164,6 +164,26 @@ def test_fuse_matches_normalization_oracle():
     np.testing.assert_allclose(fuse(va, vb), want, atol=1e-12)
 
 
+def test_score_baseline_values():
+    assert score_baseline([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
+    assert score_baseline([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
+    assert score_baseline([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.70710678, abs=1e-8)
+    with pytest.raises(ValueError, match="cosine undefined for the zero vector"):
+        score_baseline([0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        score_baseline([1.0], [1.0, 0.0])
+
+
+def test_score_baseline_is_bitwise_the_linalg_norm_formula():
+    # contiguous, strided and reversed views: np.linalg.norm ravels each in
+    # memory order and sums x.dot(x), whose bits a strided dot may not share
+    rng = np.random.default_rng(9)
+    for d in (3, 100, 400):
+        M = rng.normal(size=(2, 3 * d)) * rng.choice([1e-150, 1.0, 1e150], size=(2, 1))
+        for a, b in ((M[0, :d], M[1, :d]), (M[0, ::3], M[1, 1::3]), (M[0, ::-1], M[1, ::-1])):
+            assert score_baseline(a, b) == float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
 def _whitener(seed=0, d=4, n=200):
     rng = np.random.default_rng(seed)
     return fit_whitener(rng.normal(size=(n, d)))
@@ -285,7 +305,8 @@ def test_evaluate_trials_sweeps_once_and_matches_the_three_metrics(monkeypatch):
     assert len(sweeps) == 1
     assert (report.eer, report.threshold_at_eer) == compute_eer(scores, trials.keys)
     assert report.min_dcf == compute_min_dcf(scores, trials.keys)[0]
-    assert list(report.det_points) == det_points(scores, trials.keys)
+    assert report.det_points.dtype == np.float64
+    assert list(map(tuple, report.det_points.tolist())) == det_points(scores, trials.keys)
 
 
 def test_trial_and_score_files(tmp_path):

@@ -8,9 +8,10 @@ Run from anywhere; paths are taken relative to this file.  Each mutant
 replaces one fragment of one line of `src/spkdbn/<module>.py`; the
 fragment must occur exactly once in that file, so a mutant that no
 longer applies is reported as such, not silently skipped.  For each
-mutant the tool copies `src/`, `tests/` and `pyproject.toml` into a
-temporary directory, applies the edit there and runs
-`python -m pytest -x -q tests` in it.  A failing run kills the mutant; a
+mutant the tool copies `src/`, `tests/`, `pyproject.toml` and
+`README.md` (whose config example a test parses) into a temporary
+directory, applies the edit there and runs `python -m pytest -x -q tests`
+in it.  A failing run kills the mutant; a
 passing one lets it survive.  The unmutated copy is run first and must
 pass, or no verdict would mean anything.
 
@@ -109,6 +110,8 @@ MUTANTS = {
     "score-ids-unchecked": ("evaluation", "if ids == expected and ", "if "),
     "trial-duplicates-unchecked": ("evaluation", "if pair in key_of:", "if False:"),
     "forward-bias-dropped": ("dnn", "a += b", "pass"),
+    "score-enrolled-set-unchecked": (
+        "cli", "_model_blocks(trials, inputs.speakers)", "trials.by_model()"),
     "baseline-whitener-refitted": (
         "cli", 'Whitener(arrays["mean"], arrays["transform"])',
         "fit_whitener(inputs.background.vectors)"),
@@ -123,7 +126,8 @@ def _copy_project(dest: str) -> None:
     for name in ("src", "tests"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
                         ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy2(os.path.join(ROOT, "pyproject.toml"), dest)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(os.path.join(ROOT, name), dest)
 
 
 def _mutated(root: str, module: str, fragment: str, replacement: str) -> tuple[str, str]:
