@@ -23,6 +23,7 @@ import concurrent.futures
 import functools
 import hashlib
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -70,26 +71,18 @@ class ExperimentConfig:
     grbm_epochs: int = 200
     bb_lr: float = 0.06
     bb_epochs: int = 120
-    rbm_momentum: float = 0.9
-    rbm_weight_decay: float = 0.0002
-    rbm_minibatch: int = 100
     # balanced training
     impostor_n: int = 10
     impostor_kappa: int = 2000
     num_minibatches: int = 3
     num_centroids: int = 12
-    kmeans_max_iter: int = 100
     # adaptation
     adapt_layers: int = 1
     adapt_lr: tuple = (0.001,)
     adapt_epochs: tuple = (10,)
-    adapt_momentum: float = 0.9
-    adapt_weight_decay: float = 0.0002
     # fine-tuning
     ft_lr: float = 0.001
     ft_epochs: int = 30
-    ft_momentum: float = 0.9
-    ft_weight_decay: float = 0.0012
 
     def __post_init__(self):
         if self.task not in ("single", "multi"):
@@ -152,10 +145,14 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
+            key, value = line.split("=", 1)
+            key = key.strip()
+            if re.search(r"\s#", value):
+                raise ValueError(f"{path}:{lineno}: inline comment in the value of {key!r}; "
+                                 "a comment takes a line of its own")
             if key in pairs:
                 raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}")
-            pairs[key], first_line[key] = value, lineno
+            pairs[key], first_line[key] = value.strip(), lineno
     return pairs
 
 
@@ -299,22 +296,15 @@ class _Inputs:
         return groups
 
 
+# Momentum, weight decay, the RBM minibatch size and the k-means iteration
+# cap are the same in every published configuration, so they are not config
+# keys: `RbmTrainConfig`, `dnn.FineTuneConfig` and `balance.kmeans_cosine`
+# hold them as their defaults.
 def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
-    cfgs = []
-    for k in range(cfg.depth):
-        lr = cfg.grbm_lr if k == 0 else cfg.bb_lr
-        epochs = cfg.grbm_epochs if k == 0 else cfg.bb_epochs
-        cfgs.append(
-            RbmTrainConfig(
-                learning_rate=lr,
-                epochs=epochs,
-                momentum=cfg.rbm_momentum,
-                weight_decay=cfg.rbm_weight_decay,
-                minibatch_size=cfg.rbm_minibatch,
-                seed=derive_seed(cfg.master_seed, "udbn", k),
-            )
-        )
-    return cfgs
+    return [RbmTrainConfig(learning_rate=cfg.grbm_lr if k == 0 else cfg.bb_lr,
+                           epochs=cfg.grbm_epochs if k == 0 else cfg.bb_epochs,
+                           seed=derive_seed(cfg.master_seed, "udbn", k))
+            for k in range(cfg.depth)]
 
 
 def _adapt_configs(cfg: ExperimentConfig, seed: int) -> list[RbmTrainConfig]:
@@ -324,15 +314,12 @@ def _adapt_configs(cfg: ExperimentConfig, seed: int) -> list[RbmTrainConfig]:
     if min(len(cfg.adapt_lr), len(cfg.adapt_epochs)) < cfg.adapt_layers:
         raise ValueError(f"adapt_lr and adapt_epochs need a value per adapted layer "
                          f"(adapt_layers={cfg.adapt_layers})")
-    return [RbmTrainConfig(learning_rate=cfg.adapt_lr[k], epochs=cfg.adapt_epochs[k],
-                           momentum=cfg.adapt_momentum, weight_decay=cfg.adapt_weight_decay,
-                           seed=seed)
+    return [RbmTrainConfig(learning_rate=cfg.adapt_lr[k], epochs=cfg.adapt_epochs[k], seed=seed)
             for k in range(cfg.adapt_layers)]
 
 
 def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
-    return dnn.FineTuneConfig(learning_rate=cfg.ft_lr, epochs=cfg.ft_epochs,
-                              momentum=cfg.ft_momentum, weight_decay=cfg.ft_weight_decay)
+    return dnn.FineTuneConfig(learning_rate=cfg.ft_lr, epochs=cfg.ft_epochs)
 
 
 def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
@@ -364,10 +351,8 @@ def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs
 def stage_cluster(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     with open(paths.selected) as fh:
         ids = [ln.split()[0] for ln in fh if ln.strip()]
-    centroids = balance.kmeans_cosine(
-        inputs.background.rows(ids), cfg.num_centroids,
-        seed=derive_seed(cfg.master_seed, "kmeans"), max_iter=cfg.kmeans_max_iter,
-    )
+    centroids = balance.kmeans_cosine(inputs.background.rows(ids), cfg.num_centroids,
+                                      seed=derive_seed(cfg.master_seed, "kmeans"))
     ids = tuple(f"centroid_{j}" for j in range(len(centroids)))
     save_embeddings(Dataset(ids, (None,) * len(ids), centroids), paths.centroids)
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -70,19 +71,45 @@ def test_config_file_overrides_and_presets(tmp_path):
     # keys no preset sets keep the ExperimentConfig field defaults
     assert multi.grbm_lr == 0.014
     assert multi.hidden_size == 512
-    assert multi.ft_weight_decay == 0.0012
+
+
+# The (learning_rate, epochs) each preset gives each adapted layer and
+# fine-tuning; pretraining takes (0.014, 200) for layer 0 and (0.06, 120)
+# above it in every preset.  The test pins every field of every kernel
+# config, momentum, weight decay, minibatch size and seed included.
+KERNEL_SETTINGS = {
+    ("single", 1): ([(0.001, 10)], (0.001, 30)),
+    ("single", 2): ([(0.001, 20), (0.0001, 15)], (0.005, 100)),
+    ("single", 3): ([(0.001, 15), (0.0001, 20)], (0.08, 500)),
+    ("multi", 1): ([(0.001, 10)], (0.001, 30)),
+    ("multi", 2): ([(0.001, 10)], (0.01, 100)),
+    ("multi", 3): ([(0.001, 25)], (0.08, 500)),
+}
+
+
+@pytest.mark.parametrize("task, depth", sorted(KERNEL_SETTINGS))
+def test_preset_kernel_configs_are_pinned(task, depth):
+    cfg = resolve_config({"task": task, "depth": str(depth)})
+    adapt, fine_tune = KERNEL_SETTINGS[(task, depth)]
+    pretrain = [(0.014, 200)] + [(0.06, 120)] * (depth - 1)
+    assert [astuple(c) for c in cli._rbm_configs(cfg)] == [
+        (lr, epochs, 0.9, 0.0002, 100, derive_seed(0, "udbn", k))
+        for k, (lr, epochs) in enumerate(pretrain)]
+    assert [astuple(c) for c in cli._adapt_configs(cfg, seed=12345)] == [
+        (lr, epochs, 0.9, 0.0002, 100, 12345) for lr, epochs in adapt]
+    assert astuple(cli._fine_tune_config(cfg)) == (*fine_tune, 0.9, 0.0012)
 
 
 # config_hash of each preset with no other key set.  A preset holds only
 # the values that differ from the ExperimentConfig field defaults, so these
 # digests also change when a default that a preset relies on changes.
 PRESET_HASHES = {
-    ("single", 1): "fbd55e591d2c0063b18d65a9600381ba5f932455439698513791135d87ce4500",
-    ("single", 2): "78c902309ff9ea9cb98d977b1f324ba901835c1034ca7b7d2eb52fb3869c2853",
-    ("single", 3): "07016ebf738daf8228e9e24407342b134e65a70a459a1db1bd35c4e7acc8b26f",
-    ("multi", 1): "412fca4429f37e2d0548583848da84feb06f587f411fcff12455f625e69537d5",
-    ("multi", 2): "5953e5d1b9b00f58c0798fe6500c685628e936166b8880343441ffea32ed2de2",
-    ("multi", 3): "bc831f834dcaecdf817deba478641430575041b5efd124eb132dd8cadefe757d",
+    ("single", 1): "d94e726f76dcdf51f566f9c683370872b7fe89d7f98115fc4cf757835788ad62",
+    ("single", 2): "fc5d09f8ac008a87d5e0edaef1c13352e25acf0e1685399f888000b73e529c9d",
+    ("single", 3): "7527f0779a38a4f468b93522a09cd0af72c569d22b7dde4a75cf41cd6f0d1eda",
+    ("multi", 1): "4348fa25e88fadcbb07c806b2d7d1e58578e841e114ba2b8f74463560eb40398",
+    ("multi", 2): "89982ab06cbb2a25357998aeeabbc9a49b54a0c88184398f55d65d84064b5b74",
+    ("multi", 3): "d3b1052edb9dcff25a06a42d879a1d7d1edb805beaa8e7a0ef618e4f19b1da55",
 }
 
 
@@ -109,6 +136,27 @@ def test_config_file_rejects_a_repeated_key(tmp_path, capsys):
         parse_config_file(cfg_file)
     assert main(["run", "--config", str(cfg_file)]) == 1
     assert "key 'out' repeats line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["out=out   # artifact directory", "task=single  # x",
+                                  "depth=1  # x"])
+def test_config_file_rejects_an_inline_comment(tmp_path, capsys, monkeypatch, line):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text(f"# experiment\n{line}\n")
+    key = line.split("=")[0]
+    message = f"{cfg_file}:2: inline comment in the value of {key!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config_file(cfg_file)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_config_file_keeps_a_hash_inside_a_value(tmp_path):
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_text("out=run#2\n")
+    assert parse_config_file(cfg_file) == {"out": "run#2"}
 
 
 def test_config_rejects_unknown_keys_and_bad_values():
@@ -294,31 +342,35 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert not os.path.exists(pairs["out"])
 
 
-@pytest.mark.parametrize("bad", [
-    {"ft_momentum": "1"},
-    {"ft_epochs": "-1"},
-    {"adapt_momentum": "1.5"},
-    {"depth": "2", "adapt_lr": "0.001"},   # single-2L adapts two layers
-    {"adapt_epochs": "0"},
-    {"adapt_layers": "2"},                 # depth 1
-    {"adapt_layers": "-1"},
-    {"num_centroids": "13"},               # 3 minibatches
-    {"num_centroids": "0"},
-    {"impostor_kappa": "6"},               # fewer impostors than the 12 centroids
-    {"impostor_n": "0"},
-    {"impostor_kappa": "0"},
-    {"grbm_epochs": "0"},
-    {"hidden_size": "0"},
-    {"ft_weight_decay": "-1"},
-    {"ft_lr": "nan"},
-    {"grbm_lr": "nan"},
-    {"adapt_weight_decay": "inf"},
-], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
-def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys, bad):
+BAD_TRAINING_VALUES = [
+    ({"ft_epochs": "-1"}, "epochs must be >= 0"),
+    ({"depth": "2", "adapt_lr": "0.001"},   # single-2L adapts two layers
+     "adapt_lr and adapt_epochs need a value per adapted layer (adapt_layers=2)"),
+    ({"adapt_epochs": "0"}, "epochs must be >= 1"),
+    ({"adapt_layers": "2"}, "adapt_layers must be in 0..depth=1, got 2"),
+    ({"adapt_layers": "-1"}, "adapt_layers must be in 0..depth=1, got -1"),
+    ({"num_centroids": "13"}, "num_centroids=13 not divisible into num_minibatches=3"),
+    ({"num_centroids": "0"}, "num_centroids=0 must be in 1..impostor_kappa=60"),
+    ({"impostor_kappa": "6"}, "num_centroids=12 must be in 1..impostor_kappa=6"),
+    ({"impostor_n": "0"}, "impostor_n must be >= 1, got 0"),
+    ({"impostor_kappa": "0"}, "impostor_kappa must be >= 1, got 0"),
+    ({"grbm_epochs": "0"}, "epochs must be >= 1"),
+    ({"hidden_size": "0"}, "hidden_size must be >= 1"),
+    ({"ft_lr": "nan"}, "learning_rate must be finite and >= 0, got nan"),
+    ({"grbm_lr": "nan"}, "learning_rate must be finite and >= 0, got nan"),
+    # momentum, weight decay, minibatch size and the k-means cap are not keys
+    ({"rbm_momentum": "0.5"}, "unknown config key 'rbm_momentum'"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_TRAINING_VALUES,
+                         ids=[",".join(f"{k}={v}" for k, v in bad.items())
+                              for bad, _ in BAD_TRAINING_VALUES])
+def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys, bad, message):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4) | bad
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["run", "--config", cfg_file]) == 1
-    assert "stage config:" in capsys.readouterr().err
+    assert f"stage config: {message}" in capsys.readouterr().err
     assert not os.path.exists(pairs["out"])
 
 

@@ -1,9 +1,12 @@
+import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from spkdbn.dnn import FineTuneConfig
 from spkdbn.rbm import (
     Momentum,
     NumericalError,
@@ -116,6 +119,18 @@ def _cfg(**kw):
                 minibatch_size=10, seed=0)
     base.update(kw)
     return RbmTrainConfig(**base)
+
+
+@pytest.mark.parametrize("config, bad, message", [
+    (FineTuneConfig, {"momentum": 1.0}, "momentum must be in [0, 1), got 1.0"),
+    (RbmTrainConfig, {"momentum": 1.5}, "momentum must be in [0, 1), got 1.5"),
+    (FineTuneConfig, {"weight_decay": -1.0}, "weight_decay must be finite and >= 0, got -1.0"),
+    (RbmTrainConfig, {"weight_decay": math.inf}, "weight_decay must be finite and >= 0, got inf"),
+], ids=["FineTuneConfig-momentum=1.0", "RbmTrainConfig-momentum=1.5",
+        "FineTuneConfig-weight_decay=-1.0", "RbmTrainConfig-weight_decay=inf"])
+def test_training_config_rejects_a_bad_momentum_or_weight_decay(config, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config(learning_rate=0.001, epochs=10, **bad)
 
 
 def test_cd1_zero_learning_rate_is_noop():

@@ -117,7 +117,8 @@ MUTANTS = {
         "fit_whitener(inputs.background.vectors)"),
     "det-corner-dropped": ("evaluation", "same[:-1] & same[1:]", "same[:-1] | same[1:]"),
     "det-collinear-point-kept": ("evaluation", ".any(axis=1)", ".all(axis=1)"),
-    # resume
+    # config reading and resume
+    "config-inline-comment-accepted": ("cli", 'if re.search(r"\\s#", value):', "if False:"),
     "stamp-mismatch-skipped": ("cli", "if recorded != stamp:", "if False:"),
 }
 
