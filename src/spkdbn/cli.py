@@ -6,10 +6,10 @@ LLR and cosine-baseline scoring -> fusion -> evaluation.  The stages
 are declared once, in `STAGES`; `run` walks every entry and each stage
 subcommand runs only its own.  Each input file is hashed when an
 invocation starts and parsed at most once; a file that changes between
-the two is an error.  Every stage stamps its artifacts with the config
-hash and the input digests, so re-runs skip completed stages; a stamp
-that does not match (the config or an input file changed) aborts the run
-instead of silently mixing results.
+the two is an error.  One resume record, `out/stamp`, holds the config
+hash and the input digests and names every completed stage, so re-runs
+skip them; a record of another stamp (the config or an input file
+changed) aborts any invocation before it writes, instead of mixing results.
 
 Configuration is a flat key=value text file; `--override key=value`
 wins over the file, and preset defaults (per task and depth) fill
@@ -176,33 +176,36 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h[:8], "little")
 
 
-def _stamp_path(artifact: str) -> str:
-    return artifact + ".hash"
+class _Record:
+    """The resume record `out/stamp`: the invocation's stamp, then each completed stage
+    in STAGES order, one a line.  Read before any stage runs; replaced via a temp file."""
 
-
-def _stage(name: str, artifacts: list[str], stamp: str, fn) -> bool:
-    """Run fn unless every artifact exists with a matching stamp.
-
-    Returns True when the stage executed, False when skipped.  An
-    existing artifact whose stamp disagrees with the current one is a
-    hard error (resume after the config or an input file changed).
-    """
-    done = []
-    for art in artifacts:
-        stamp_path = _stamp_path(art)
-        if os.path.exists(art) and os.path.exists(stamp_path):
-            with open(stamp_path) as fh:
-                recorded = fh.read().strip()
-            if recorded != stamp:
+    def __init__(self, out: str, stamp: str):
+        self.path, self.stamp, self.done = os.path.join(out, "stamp"), stamp, set()
+        if os.path.exists(self.path):
+            with open(self.path) as fh:
+                recorded, _, stages = fh.read().partition("\n")
+            if recorded != self.stamp:
                 raise PipelineError(
-                    f"stage {name}: config-hash mismatch on resume for {art}: the config "
-                    "or an input file changed (clean the output directory or use a fresh one)"
-                )
-            done.append(True)
-        else:
-            done.append(False)
-    if all(done):
-        return False
+                    f"stage validate: config-hash mismatch on resume in {self.path}: the config "
+                    "or an input file changed (clean the output directory or use a fresh one)")
+            self.done = set(stages.split())
+
+    def update(self, name: str, done: bool) -> None:
+        self.done = self.done | {name} if done else self.done - {name}
+        with open(self.path + ".tmp", "w") as fh:
+            fh.write("\n".join([self.stamp, *(s for s, _, _ in STAGES if s in self.done)]) + "\n")
+        os.replace(self.path + ".tmp", self.path)
+
+
+def _stage(name: str, artifacts: list[str], record: _Record, fn) -> None:
+    """Run fn unless `record` names the stage and every artifact exists.  A
+    recorded stage is dropped from the record before fn re-runs, so a crash
+    leaves it unrecorded, and recorded once fn has produced every artifact."""
+    if name in record.done:
+        if all(map(os.path.exists, artifacts)):
+            return
+        record.update(name, done=False)
     try:
         fn()
     except PipelineError:
@@ -212,9 +215,7 @@ def _stage(name: str, artifacts: list[str], stamp: str, fn) -> bool:
     for art in artifacts:
         if not os.path.exists(art):
             raise PipelineError(f"stage {name}: expected artifact {art} was not produced")
-        with open(_stamp_path(art), "w") as fh:
-            fh.write(stamp + "\n")
-    return True
+    record.update(name, done=True)
 
 
 @dataclass(frozen=True)
@@ -323,9 +324,8 @@ def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
 
 
 def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    # The whitener is fitted and the config checked against the background
-    # before any artifact is stamped, which would make the corrected re-run
-    # stop with a config-hash mismatch.
+    # The whitener is fitted and the config checked against the background before
+    # the first stage is recorded, so that the corrected config can resume here.
     whitener = fit_whitener(inputs.background.vectors)
     m = len(inputs.background)
     if cfg.impostor_n > m:
@@ -440,7 +440,7 @@ def stage_evaluate(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> Non
     trials = inputs.trials
     for system in _SYSTEMS:
         scores = evaluation.load_scores(paths.scores(system), trials)
-        report = evaluation.evaluate_trials(scores, trials)
+        report = evaluation.evaluate_trials(scores, trials.keys)
         evaluation.save_report(report, paths.report(system), paths.det_csv(system))
 
 
@@ -470,12 +470,12 @@ STAGES = (
 def _run_stages(cfg: ExperimentConfig, jobs: int, only: str | None = None) -> _Paths:
     """Run every STAGES entry, or only the one named, skipping the ones
     already completed for this exact config and these inputs."""
-    inputs = _Inputs(cfg)
+    inputs, paths = _Inputs(cfg), _Paths(cfg.out)
+    record = _Record(cfg.out, inputs.stamp)
     os.makedirs(cfg.out, exist_ok=True)
-    paths = _Paths(cfg.out)
     for name, artifacts, run in STAGES:
         if only in (None, name):
-            _stage(name, artifacts(paths, inputs), inputs.stamp, lambda: run(cfg, paths, inputs, jobs))
+            _stage(name, artifacts(paths, inputs), record, lambda: run(cfg, paths, inputs, jobs))
     return paths
 
 

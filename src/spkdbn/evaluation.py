@@ -130,22 +130,9 @@ def _operating_points(scores, keys):
     return thr, p_miss, p_fa
 
 
-def det_points(scores, keys) -> list[tuple[float, float]]:
-    """(p_fa, p_miss) at every swept threshold, in threshold order."""
-    _, p_miss, p_fa = _operating_points(scores, keys)
-    return list(zip(p_fa.tolist(), p_miss.tolist()))
-
-
-def compute_eer(scores, keys) -> tuple[float, float]:
-    """Equal error rate and its threshold.
-
-    Interpolates linearly between the two adjacent operating points
-    where the sign of (P_miss - P_fa) flips.
-    """
-    return _eer(*_operating_points(scores, keys))
-
-
 def _eer(thr, p_miss, p_fa):
+    """Equal error rate and its threshold, interpolated linearly between the
+    two adjacent operating points where the sign of (P_miss - P_fa) flips."""
     diff = p_miss - p_fa
     i = int(np.argmax(diff >= 0.0))  # diff[0] = -1, so i >= 1 unless degenerate
     if diff[i] == 0.0:
@@ -159,24 +146,14 @@ def _eer(thr, p_miss, p_fa):
     return float(eer), float(t)
 
 
-def compute_min_dcf(scores, keys) -> tuple[float, float]:
-    """Minimum of C_miss*P_target*P_miss + C_fa*(1-P_target)*P_fa over
-    thresholds, with the DCF_* costs and prior, and its threshold."""
-    return _min_dcf(*_operating_points(scores, keys))
-
-
-def _min_dcf(thr, p_miss, p_fa):
-    dcf = DCF_C_MISS * DCF_P_TARGET * p_miss + DCF_C_FA * (1.0 - DCF_P_TARGET) * p_fa
-    i = int(np.argmin(dcf))
-    return float(dcf[i]), float(thr[i])
-
-
-def evaluate_trials(scores, trials: Trials) -> EvalReport:
-    """Full report for a score vector aligned with `trials`, from one sweep."""
-    thr, p_miss, p_fa = _operating_points(scores, trials.keys)
+def evaluate_trials(scores, keys) -> EvalReport:
+    """Full report for scores whose trials have `keys`, from one sweep.
+    minDCF is the minimum of C_miss*P_target*P_miss + C_fa*(1-P_target)*P_fa
+    over thresholds, with the DCF_* costs and prior."""
+    thr, p_miss, p_fa = _operating_points(scores, keys)
     eer, threshold = _eer(thr, p_miss, p_fa)
-    min_dcf, _ = _min_dcf(thr, p_miss, p_fa)
-    return EvalReport(eer, min_dcf, np.column_stack((p_fa, p_miss)), threshold)
+    dcf = DCF_C_MISS * DCF_P_TARGET * p_miss + DCF_C_FA * (1.0 - DCF_P_TARGET) * p_fa
+    return EvalReport(eer, float(dcf.min()), np.column_stack((p_fa, p_miss)), threshold)
 
 
 def parse_trials(lines, path) -> Trials:

@@ -15,7 +15,7 @@ from oracles import eer_oracle, mean_cross_entropy_oracle, min_dcf_oracle, selec
 from spkdbn.balance import build_minibatch_plan, impostor_frequencies, rank_impostors
 from spkdbn.cli import resolve_config, run_pipeline
 from spkdbn.dnn import DnnModel, DnnVelocity, FineTuneConfig, backprop_minibatch
-from spkdbn.evaluation import compute_eer, compute_min_dcf
+from spkdbn.evaluation import evaluate_trials
 from spkdbn.rbm import RbmParams, RbmTrainConfig, train_rbm
 from spkdbn.udbn import DbnParams, normalize_udbn
 
@@ -129,8 +129,8 @@ def test_acceptance_4_metric_oracles(verdict):
         rng = np.random.default_rng(seed)
         scores = np.concatenate([rng.normal(1.0, 1.0, 250), rng.normal(0.0, 1.0, 750)])
         keys = ["target"] * 250 + ["nontarget"] * 750
-        eer, _ = compute_eer(scores, keys)
-        dcf, _ = compute_min_dcf(scores, keys)
+        report = evaluate_trials(scores, keys)
+        eer, dcf = report.eer, report.min_dcf
         o_eer, _ = eer_oracle(scores.tolist(), keys)
         o_dcf, _ = min_dcf_oracle(scores.tolist(), keys)
         worst = max(worst, abs(eer - o_eer), abs(dcf - o_dcf))

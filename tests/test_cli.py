@@ -251,6 +251,67 @@ def test_resume_after_an_input_changed_is_rejected(tmp_path, capsys):
     assert _tree_hashes(out) == before
 
 
+@pytest.mark.parametrize("k", range(1, len(STAGE_COMMANDS)))
+def test_stage_after_k_stages_of_another_config_is_rejected(tmp_path, capsys, k):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    for cmd in STAGE_COMMANDS[:k]:
+        assert main([cmd, "--config", cfg_file]) == 0, cmd
+    out = tmp_path / "exp" / "out"
+    before = _tree_hashes(out)
+    capsys.readouterr()
+    assert main([STAGE_COMMANDS[k], "--config", cfg_file, "--override", "master_seed=99"]) == 1
+    assert "config-hash mismatch" in capsys.readouterr().err
+    assert _tree_hashes(out) == before
+
+
+def test_stage_that_crashes_on_its_re_run_is_not_skipped(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 0
+    out = tmp_path / "exp" / "out"
+    before = _tree_hashes(out)
+    report = (out / "report_dnn.txt").read_bytes()
+    os.remove(out / "report_dnn.txt")
+
+    def crash(*args):
+        (out / "report_dnn.txt").write_bytes(report[:len(report) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.evaluation, "save_report", crash)
+    assert main(["run", "--config", cfg_file]) == 1
+    monkeypatch.undo()
+    assert main(["run", "--config", cfg_file]) == 0
+    assert _tree_hashes(out) == before
+
+
+def test_crash_in_the_middle_of_train_speakers_resumes_to_a_fresh_run(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    out = tmp_path / "exp" / "out"
+    assert main(["run", "--config", cfg_file]) == 0
+    fresh = _tree_hashes(out)
+    os.rename(out, tmp_path / "fresh")
+
+    calls = []
+    save_dnn = cli.dnn.save_dnn
+
+    def crash_on_the_third(model, path):
+        calls.append(path)
+        save_dnn(model, path)
+        if len(calls) == 3:
+            Path(path).write_bytes(Path(path).read_bytes()[:100])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli.dnn, "save_dnn", crash_on_the_third)
+    assert main(["run", "--config", cfg_file]) == 1
+    assert len(calls) == 3
+    assert (out / "stamp").read_text().splitlines()[1:] == list(STAGE_COMMANDS[:3])
+    monkeypatch.undo()
+    assert main(["run", "--config", cfg_file]) == 0
+    assert _tree_hashes(out) == fresh
+
+
 def test_cli_gen_synth_and_subcommands(tmp_path, capsys):
     out = tmp_path / "bg.txt"
     rc = main(["gen-synth", "--speakers", "3", "--sessions", "2", "--dim", "5",
@@ -272,7 +333,7 @@ def test_cli_run_and_stagewise_equivalence(tmp_path, capsys):
     for cmd in STAGE_COMMANDS:
         assert main([cmd, "--config", cfg_file]) == 0
     whole = _tree_hashes(tmp_path / "whole")
-    assert "models/spk0000.dnn.hash" in whole
+    assert "stamp" in whole
     assert _tree_hashes(out) == whole
 
 
@@ -281,7 +342,7 @@ def test_cli_stage_writes_only_its_own_artifacts(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["train-udbn", "--config", cfg_file]) == 0
     assert sorted(os.listdir(tmp_path / "exp" / "out")) == [
-        "udbn_norm.dbn", "udbn_norm.dbn.hash", "whitener.npz", "whitener.npz.hash"]
+        "stamp", "udbn_norm.dbn", "whitener.npz"]
 
 
 def test_cli_writes_the_normalized_udbn(tmp_path):
@@ -715,8 +776,8 @@ def test_cli_import_and_an_eer_load_no_scipy_and_no_numpy_ma():
         "import sys, numpy\n"
         "preloaded = set(sys.modules)\n"
         "import spkdbn.cli\n"
-        "from spkdbn.evaluation import compute_eer\n"
-        "compute_eer([1.0, 2.0, 0.5], ['target', 'nontarget', 'target'])\n"
+        "from spkdbn.evaluation import evaluate_trials\n"
+        "evaluate_trials([1.0, 2.0, 0.5], ['target', 'nontarget', 'target']).eer\n"
         "print(*sorted(m for m in set(sys.modules) - preloaded\n"
         "              if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']))\n"
     )

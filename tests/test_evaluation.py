@@ -18,9 +18,6 @@ from spkdbn.evaluation import (
     EvalReport,
     Trials,
     baseline_vector,
-    compute_eer,
-    compute_min_dcf,
-    det_points,
     evaluate_trials,
     fuse,
     load_scores,
@@ -40,17 +37,28 @@ def _random_trial_scores(seed, n=1000, overlap=1.0):
     return scores, keys
 
 
+def _eer(scores, keys):
+    """The report's (EER, threshold at the EER)."""
+    report = evaluate_trials(scores, keys)
+    return report.eer, report.threshold_at_eer
+
+
+def _det_points(scores, keys):
+    """The report's DET points as a list of (p_fa, p_miss) tuples."""
+    return list(map(tuple, evaluate_trials(scores, keys).det_points.tolist()))
+
+
 def test_eer_perfect_and_inverted():
-    eer, _ = compute_eer([2.0, 3.0, 0.0, 1.0], ["target", "target", "nontarget", "nontarget"])
+    eer = evaluate_trials([2.0, 3.0, 0.0, 1.0], ["target", "target", "nontarget", "nontarget"]).eer
     assert eer == 0.0
-    eer, _ = compute_eer([0.0, 1.0, 2.0, 3.0], ["target", "target", "nontarget", "nontarget"])
+    eer = evaluate_trials([0.0, 1.0, 2.0, 3.0], ["target", "target", "nontarget", "nontarget"]).eer
     assert eer == 1.0
 
 
 def test_eer_matches_bruteforce_oracle():
     for seed in range(10):
         scores, keys = _random_trial_scores(seed)
-        eer, thr = compute_eer(scores, keys)
+        eer, thr = _eer(scores, keys)
         o_eer, o_thr = eer_oracle(scores.tolist(), keys)
         assert eer == pytest.approx(o_eer, abs=1e-9)
         assert thr == pytest.approx(o_thr, abs=1e-9)
@@ -59,50 +67,48 @@ def test_eer_matches_bruteforce_oracle():
 
 def test_eer_requires_both_classes():
     with pytest.raises(ValueError):
-        compute_eer([1.0, 2.0], ["target", "target"])
+        evaluate_trials([1.0, 2.0], ["target", "target"])
 
 
-@pytest.mark.parametrize("metric", [compute_eer, compute_min_dcf, det_points])
-def test_metrics_reject_a_nan_score(metric):
+def test_metrics_reject_a_nan_score():
     # NaN sorts above every score and compares false: unchecked, these
     # separable trials report an EER of 1/3 and no error
     scores = [2.0, 3.0, 4.0, 0.0, 1.0, np.nan]
     keys = ["target"] * 3 + ["nontarget"] * 3
     with pytest.raises(ValueError, match="1 of 6 scores are NaN"):
-        metric(scores, keys)
+        evaluate_trials(scores, keys)
 
 
 def test_min_dcf_trivial_cases():
-    dcf, _ = compute_min_dcf([2.0, 3.0, 0.0, 1.0],
-                             ["target", "target", "nontarget", "nontarget"])
+    dcf = evaluate_trials([2.0, 3.0, 0.0, 1.0],
+                          ["target", "target", "nontarget", "nontarget"]).min_dcf
     assert dcf == 0.0
     # all-equal scores: best is accept-all (0.99) vs reject-all (0.1)
-    dcf, _ = compute_min_dcf([1.0, 1.0, 1.0], ["target", "nontarget", "nontarget"])
+    dcf = evaluate_trials([1.0, 1.0, 1.0], ["target", "nontarget", "nontarget"]).min_dcf
     assert dcf == pytest.approx(0.1, abs=1e-15)
 
 
 def test_min_dcf_matches_bruteforce_oracle():
     for seed in range(10):
         scores, keys = _random_trial_scores(seed + 100)
-        dcf, thr = compute_min_dcf(scores, keys)
-        o_dcf, o_thr = min_dcf_oracle(scores.tolist(), keys)
+        dcf = evaluate_trials(scores, keys).min_dcf
+        o_dcf, _ = min_dcf_oracle(scores.tolist(), keys)
         assert dcf == pytest.approx(o_dcf, abs=1e-12)
-        assert thr == pytest.approx(o_thr, abs=1e-12)
 
 
 def test_metrics_invariant_under_monotone_transform():
     scores, keys = _random_trial_scores(7, n=400)
-    eer1, _ = compute_eer(scores, keys)
-    eer2, _ = compute_eer(np.tanh(scores) * 3.0 + 1.0, keys)
+    report1 = evaluate_trials(scores, keys)
+    report2 = evaluate_trials(np.tanh(scores) * 3.0 + 1.0, keys)
+    eer1, eer2 = report1.eer, report2.eer
     assert eer1 == pytest.approx(eer2, abs=1e-12)
-    dcf1, _ = compute_min_dcf(scores, keys)
-    dcf2, _ = compute_min_dcf(np.tanh(scores) * 3.0 + 1.0, keys)
+    dcf1, dcf2 = report1.min_dcf, report2.min_dcf
     assert dcf1 == pytest.approx(dcf2, abs=1e-12)
 
 
 def test_det_points_properties_and_oracle():
     scores, keys = _random_trial_scores(3, n=200)
-    pts = det_points(scores, keys)
+    pts = _det_points(scores, keys)
     n_distinct = len(set(scores.tolist()))
     assert len(pts) <= n_distinct + 1
     p_fa = [p for p, _ in pts]
@@ -114,7 +120,7 @@ def test_det_points_properties_and_oracle():
 
 
 def test_det_points_perfect_separation_contains_origin():
-    pts = det_points([2.0, 3.0, 0.0, 1.0], ["target", "target", "nontarget", "nontarget"])
+    pts = _det_points([2.0, 3.0, 0.0, 1.0], ["target", "target", "nontarget", "nontarget"])
     assert (0.0, 0.0) in pts
 
 
@@ -126,12 +132,12 @@ def test_threshold_sweep_separates_infinite_and_adjacent_scores():
     above_one = np.nextafter(1.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert compute_eer([np.inf, -np.inf, np.inf, -np.inf], keys * 2) == (0.0, np.inf)
-        assert compute_eer([above_one, 1.0], keys) == (0.0, above_one)
-        assert compute_eer([1.0, -np.inf], keys) == (0.0, 1.0)
-        assert compute_min_dcf([np.inf, -np.inf], keys) == (0.0, np.inf)
+        assert _eer([np.inf, -np.inf, np.inf, -np.inf], keys * 2) == (0.0, np.inf)
+        assert _eer([above_one, 1.0], keys) == (0.0, above_one)
+        assert _eer([1.0, -np.inf], keys) == (0.0, 1.0)
+        assert evaluate_trials([np.inf, -np.inf], keys).min_dcf == 0.0
         # at threshold 1.0 the target is accepted and the nontarget rejected
-        assert (0.0, 0.0) in det_points([1.0, -np.inf], keys)
+        assert (0.0, 0.0) in _det_points([1.0, -np.inf], keys)
 
 
 def test_mean_var_normalize():
@@ -237,7 +243,7 @@ def test_evaluate_trials_and_report_files(tmp_path):
     trials = Trials(("m1", "m1", "m2", "m2"), ("t1", "t2", "t1", "t2"),
                     ("target", "nontarget", "nontarget", "target"))
     scores = np.array([2.0, -1.0, -2.0, 1.0])
-    report = evaluate_trials(scores, trials)
+    report = evaluate_trials(scores, trials.keys)
     assert report.eer == 0.0
     assert report.min_dcf == 0.0
     rp, dp = tmp_path / "r.txt", tmp_path / "d.csv"
@@ -246,7 +252,7 @@ def test_evaluate_trials_and_report_files(tmp_path):
     assert first.startswith("eer=0 ")
     assert dp.read_text().splitlines()[0] == "p_fa,p_miss"
     with pytest.raises(ValueError):
-        evaluate_trials(np.array([1.0]), trials)
+        evaluate_trials(np.array([1.0]), trials.keys)
 
 
 def _det_case(name):
@@ -266,9 +272,8 @@ def _det_case(name):
                                   "cross-class-ties"])
 def test_det_csv_holds_the_corners_of_the_det_staircase(tmp_path, name):
     scores, keys = _det_case(name)
-    trials = Trials(("m",) * len(keys), tuple(f"t{i:04d}" for i in range(len(keys))), tuple(keys))
-    pts = det_points(scores, keys)
-    save_report(evaluate_trials(scores, trials), tmp_path / "r.txt", tmp_path / "d.csv")
+    pts = _det_points(scores, keys)
+    save_report(evaluate_trials(scores, keys), tmp_path / "r.txt", tmp_path / "d.csv")
     header, *lines = (tmp_path / "d.csv").read_text().splitlines()
     assert header == "p_fa,p_miss"
     csv = [tuple(float(x) for x in line.split(",")) for line in lines]
@@ -294,19 +299,21 @@ def test_det_csv_holds_the_corners_of_the_det_staircase(tmp_path, name):
             assert (bx - ax) * (cy - by) != (by - ay) * (cx - bx), (a, b, c)
 
 
-def test_evaluate_trials_sweeps_once_and_matches_the_three_metrics(monkeypatch):
+def test_evaluate_trials_sweeps_once_and_matches_the_three_oracles(monkeypatch):
     scores, keys = _random_trial_scores(11, n=400)
-    trials = Trials(("m",) * 400, tuple(f"t{i:03d}" for i in range(400)), tuple(keys))
     sweeps = []
     sweep = evaluation._operating_points
     monkeypatch.setattr(evaluation, "_operating_points",
                         lambda *args: sweeps.append(1) or sweep(*args))
-    report = evaluate_trials(scores, trials)
+    report = evaluate_trials(scores, keys)
     assert len(sweeps) == 1
-    assert (report.eer, report.threshold_at_eer) == compute_eer(scores, trials.keys)
-    assert report.min_dcf == compute_min_dcf(scores, trials.keys)[0]
+    o_eer, o_thr = eer_oracle(scores.tolist(), keys)
+    assert report.eer == pytest.approx(o_eer, abs=1e-9)
+    assert report.threshold_at_eer == pytest.approx(o_thr, abs=1e-9)
+    assert report.min_dcf == pytest.approx(min_dcf_oracle(scores.tolist(), keys)[0], abs=1e-12)
     assert report.det_points.dtype == np.float64
-    assert list(map(tuple, report.det_points.tolist())) == det_points(scores, trials.keys)
+    assert list(map(tuple, report.det_points.tolist())) == [
+        (pf, pm) for _, pm, pf in sweep_oracle(scores.tolist(), keys)]
 
 
 def test_trial_and_score_files(tmp_path):

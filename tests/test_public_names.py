@@ -10,10 +10,6 @@ import spkdbn
 PACKAGE = Path(spkdbn.__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
-# The (scores, keys) forms of the report's measures, kept for callers
-# outside the pipeline; `evaluate_trials` reads the same sweep.
-UNCALLED = {"compute_eer", "compute_min_dcf", "det_points"}
-
 
 def _names(node) -> set[str]:
     """Every identifier that node and its descendants load, and every
@@ -33,7 +29,7 @@ def test_every_public_function_and_class_is_named_outside_its_own_definition():
     unused = []
     for definition in statements:
         if (isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-                and not definition.name.startswith("_") and definition.name not in UNCALLED
+                and not definition.name.startswith("_")
                 and not any(definition.name in _names(stmt)
                             for stmt in statements if stmt is not definition)):
             unused.append(definition.name)

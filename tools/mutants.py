@@ -119,7 +119,8 @@ MUTANTS = {
     "det-collinear-point-kept": ("evaluation", ".any(axis=1)", ".all(axis=1)"),
     # config reading and resume
     "config-inline-comment-accepted": ("cli", 'if re.search(r"\\s#", value):', "if False:"),
-    "stamp-mismatch-skipped": ("cli", "if recorded != stamp:", "if False:"),
+    "stamp-mismatch-skipped": ("cli", "if recorded != self.stamp:", "if False:"),
+    "rerun-stage-kept-in-record": ("cli", "record.update(name, done=False)", "pass"),
 }
 
 
