@@ -4,12 +4,14 @@ Wires the full flow: background data -> universal DBN -> impostor
 selection and clustering -> per-speaker adaptation and fine-tuning ->
 LLR and cosine-baseline scoring -> fusion -> evaluation.  The stages
 are declared once, in `STAGES`; `run` walks every entry and each stage
-subcommand runs only its own.  Each input file is hashed when an
+subcommand runs only its own (a retired subcommand name in `_ALIASES`
+runs the stage that took it over).  Each input file is hashed when an
 invocation starts and parsed at most once; a file that changes between
 the two is an error.  One resume record, `out/stamp`, holds the config
-hash and the input digests and names every completed stage, so re-runs
-skip them; a record of another stamp (the config or an input file
-changed) aborts any invocation before it writes, instead of mixing results.
+hash (paths left out) and the input digests and names every completed
+stage, so re-runs skip them; a record of another stamp (the config or an
+input file changed) aborts any invocation before it writes, instead of
+mixing results.
 
 Configuration is a flat key=value text file; `--override key=value`
 wins over the file, and preset defaults (per task and depth) fill
@@ -165,8 +167,14 @@ def resolve_config(pairs: dict, overrides: dict | None = None) -> ExperimentConf
     return ExperimentConfig(**(preset | typed))
 
 
+# Where the inputs and outputs live is not part of an experiment: `_Inputs`
+# hashes the input contents, and the output directory holds the record.
+_INPUTS = ("background", "enroll", "test", "trials")
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    parts = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(ExperimentConfig)]
+    parts = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(ExperimentConfig)
+             if f.name not in (*_INPUTS, "out")]
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
@@ -270,7 +278,7 @@ class _Inputs:
     trials = _parsed("trials")
 
     def __init__(self, cfg: ExperimentConfig):
-        paths = {name: getattr(cfg, name) for name in ("background", "enroll", "test", "trials")}
+        paths = {name: getattr(cfg, name) for name in _INPUTS}
         missing = [f"{name}={path}" if path else f"{name} (not set)"
                    for name, path in paths.items() if not os.path.exists(path)]
         if missing:
@@ -339,19 +347,15 @@ def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> N
     save_arrays(paths.whitener, "whitener", mean=whitener.mean, transform=whitener.transform)
 
 
-def stage_select_impostors(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+def stage_balance(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    """Select the kappa most frequent impostors, then cluster their rows."""
     targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
     freqs = balance.impostor_frequencies(targets, inputs.background.vectors, cfg.impostor_n)
     selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(inputs.background)))
     with open(paths.selected, "w") as fh:
         for idx in selected:
             fh.write(f"{inputs.background.ids[idx]} {freqs[idx]}\n")
-
-
-def stage_cluster(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    with open(paths.selected) as fh:
-        ids = [ln.split()[0] for ln in fh if ln.strip()]
-    centroids = balance.kmeans_cosine(inputs.background.rows(ids), cfg.num_centroids,
+    centroids = balance.kmeans_cosine(inputs.background.vectors[selected], cfg.num_centroids,
                                       seed=derive_seed(cfg.master_seed, "kmeans"))
     ids = tuple(f"centroid_{j}" for j in range(len(centroids)))
     save_embeddings(Dataset(ids, (None,) * len(ids), centroids), paths.centroids)
@@ -405,43 +409,33 @@ def _model_blocks(trials: evaluation.Trials, enrolled) -> dict[str, slice]:
     return trials.by_model()
 
 
-def stage_score_dnn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    test, trials = inputs.test, inputs.trials
-    blocks = _model_blocks(trials, inputs.speakers)
-    scores = np.empty(len(trials))
-    for model_id, block in blocks.items():
-        model = dnn.load_dnn(paths.model(model_id))
-        scores[block] = dnn.score_llr_batch(model, test.rows(trials.tests[block]))
-    evaluation.save_scores(scores, trials, paths.scores("dnn"))
-
-
-def stage_score_baseline(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+def stage_score(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+    """Score every trial with its speaker's DNN and with the cosine baseline,
+    fuse the two, and write each system's scores, report and DET file."""
     test, trials, groups = inputs.test, inputs.trials, inputs.speakers
     arrays = load_arrays(paths.whitener, "whitener")
     whitener = Whitener(arrays["mean"], arrays["transform"])
     blocks = _model_blocks(trials, groups)
     utts = list(dict.fromkeys(trials.tests))
     prepared = {t: evaluation.baseline_vector(x, whitener) for t, x in zip(utts, test.rows(utts))}
-    scores = np.empty(len(trials))
+    scores = {"dnn": np.empty(len(trials)), "baseline": np.empty(len(trials))}
     for model_id, block in blocks.items():
-        model = evaluation.baseline_vector(groups[model_id], whitener)
-        scores[block] = [evaluation.score_baseline(model, prepared[t]) for t in trials.tests[block]]
-    evaluation.save_scores(scores, trials, paths.scores("baseline"))
-
-
-def stage_fuse(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    trials = inputs.trials
-    a = evaluation.load_scores(paths.scores("dnn"), trials)
-    b = evaluation.load_scores(paths.scores("baseline"), trials)
-    evaluation.save_scores(evaluation.fuse(a, b), trials, paths.scores("fused"))
-
-
-def stage_evaluate(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
-    trials = inputs.trials
+        model = dnn.load_dnn(paths.model(model_id))
+        scores["dnn"][block] = dnn.score_llr_batch(model, test.rows(trials.tests[block]))
+        centre = evaluation.baseline_vector(groups[model_id], whitener)
+        scores["baseline"][block] = [evaluation.score_baseline(centre, prepared[t])
+                                     for t in trials.tests[block]]
+    for system, s in scores.items():
+        bad = np.flatnonzero(~np.isfinite(s))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"non-finite {system} score {float(s[i])!r} for trial "
+                             f"'{trials.models[i]} {trials.tests[i]}'")
+    scores["fused"] = evaluation.fuse(scores["dnn"], scores["baseline"])
+    reports = {system: evaluation.evaluate_trials(s, trials.keys) for system, s in scores.items()}
     for system in _SYSTEMS:
-        scores = evaluation.load_scores(paths.scores(system), trials)
-        report = evaluation.evaluate_trials(scores, trials.keys)
-        evaluation.save_report(report, paths.report(system), paths.det_csv(system))
+        evaluation.save_scores(scores[system], trials, paths.scores(system))
+        evaluation.save_report(reports[system], paths.report(system), paths.det_csv(system))
 
 
 # The pipeline in order, as (name, artifacts(paths, inputs), run(cfg, paths, inputs, jobs)).
@@ -449,22 +443,17 @@ def stage_evaluate(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> Non
 STAGES = (
     ("train-udbn", lambda paths, inputs: [paths.udbn_norm, paths.whitener],
      lambda cfg, paths, inputs, jobs: stage_train_udbn(cfg, paths, inputs)),
-    ("select-impostors", lambda paths, inputs: [paths.selected],
-     lambda cfg, paths, inputs, jobs: stage_select_impostors(cfg, paths, inputs)),
-    ("cluster", lambda paths, inputs: [paths.centroids],
-     lambda cfg, paths, inputs, jobs: stage_cluster(cfg, paths, inputs)),
+    ("balance", lambda paths, inputs: [paths.selected, paths.centroids],
+     lambda cfg, paths, inputs, jobs: stage_balance(cfg, paths, inputs)),
     ("train-speakers", lambda paths, inputs: [paths.model(spk) for spk in inputs.speakers],
      lambda cfg, paths, inputs, jobs: stage_train_speakers(cfg, paths, inputs, jobs)),
-    ("score", lambda paths, inputs: [paths.scores("dnn")],
-     lambda cfg, paths, inputs, jobs: stage_score_dnn(cfg, paths, inputs)),
-    ("score-baseline", lambda paths, inputs: [paths.scores("baseline")],
-     lambda cfg, paths, inputs, jobs: stage_score_baseline(cfg, paths, inputs)),
-    ("fuse", lambda paths, inputs: [paths.scores("fused")],
-     lambda cfg, paths, inputs, jobs: stage_fuse(cfg, paths, inputs)),
-    ("evaluate",
-     lambda paths, inputs: [*map(paths.report, _SYSTEMS), *map(paths.det_csv, _SYSTEMS)],
-     lambda cfg, paths, inputs, jobs: stage_evaluate(cfg, paths, inputs)),
+    ("score", lambda paths, inputs: [*map(paths.scores, _SYSTEMS), *map(paths.report, _SYSTEMS),
+                                     *map(paths.det_csv, _SYSTEMS)],
+     lambda cfg, paths, inputs, jobs: stage_score(cfg, paths, inputs)),
 )
+# Subcommands of the eight-stage pipeline, each run as the stage that now holds it.
+_ALIASES = {"select-impostors": "balance", "cluster": "balance", "score-baseline": "score",
+            "fuse": "score", "evaluate": "score"}
 
 
 def _run_stages(cfg: ExperimentConfig, jobs: int, only: str | None = None) -> _Paths:
@@ -525,7 +514,7 @@ def main(argv=None) -> int:
                      help="write '-' speaker labels (background data)")
     gen.add_argument("--out", required=True)
 
-    for name in ("run", *(name for name, _, _ in STAGES)):
+    for name in ("run", *(name for name, _, _ in STAGES), *_ALIASES):
         _add_common(sub.add_parser(name))
 
     args = parser.parse_args(argv)
@@ -550,7 +539,7 @@ def main(argv=None) -> int:
                     print(f"{system}: {fh.readline().strip()}")
             return 0
 
-        _run_stages(cfg, args.jobs, only=args.command)
+        _run_stages(cfg, args.jobs, only=_ALIASES.get(args.command, args.command))
         return 0
     except PipelineError as exc:
         print(f"spkdbn: {exc}", file=sys.stderr)

@@ -15,8 +15,6 @@ threshold.
 from __future__ import annotations
 
 import bisect
-import contextlib
-import itertools
 import math
 
 import numpy as np
@@ -27,7 +25,6 @@ from .embeddings import ParseError, Whitener, _fmt, apply_whitener, length_norma
 DCF_C_MISS = 10.0
 DCF_C_FA = 1.0
 DCF_P_TARGET = 0.01
-_BLOCK_LINES = 512  # lines per block of a score file
 
 
 @dataclass(frozen=True)
@@ -184,49 +181,6 @@ def save_scores(scores, trials: Trials, path) -> None:
     with open(path, "w") as fh:
         for model_id, test_id, score in zip(trials.models, trials.tests, scores):
             fh.write(f"{model_id} {test_id} {_fmt(score)}\n")
-
-
-def load_scores(path, trials: Trials) -> np.ndarray:
-    """The score vector of a file that scores every trial once, in trial
-    order.  A line that does not score the next trial, a non-finite score,
-    a line past the last trial or a missing line raises ParseError naming
-    the line."""
-    scores = np.empty(len(trials))
-    i = end = 0
-    with open(path) as fh:
-        # Each block of lines is checked whole, and its scores converted by one
-        # call to float()'s parser; only a block that fails is read line by line.
-        while rows := [raw.split() for raw in itertools.islice(fh, _BLOCK_LINES)]:
-            start, end = end + 1, end + len(rows)
-            records = [f for f in rows if f and not f[0].startswith("#")]
-            j = i + len(records)
-            if j <= len(trials) and all(len(f) == 3 for f in records):
-                expected = list(trials.models[i:j]), list(trials.tests[i:j])
-                ids = [f[0] for f in records], [f[1] for f in records]
-                with contextlib.suppress(ValueError):  # the same values and rejects as float()
-                    block = np.array([f[2] for f in records], dtype=np.float64)
-                    if ids == expected and np.isfinite(block).all():
-                        scores[i:j], i = block, j
-                        continue
-            for lineno, fields in enumerate(rows, start):  # raises at the block's first fault
-                if not fields or fields[0].startswith("#"):
-                    continue
-                if i == len(trials):
-                    raise ParseError(f"{path}:{lineno}: score past the last of {len(trials)} trials")
-                want = [trials.models[i], trials.tests[i]]
-                if len(fields) != 3 or fields[:2] != want:
-                    raise ParseError(f"{path}:{lineno}: expected '{want[0]} {want[1]} <score>'")
-                try:
-                    score = float(fields[2])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad score field") from None
-                if not math.isfinite(score):
-                    raise ParseError(f"{path}:{lineno}: non-finite score {fields[2]!r}")
-                scores[i] = score
-                i += 1
-    if i < len(trials):
-        raise ParseError(f"{path}:{end + 1}: missing '{trials.models[i]} {trials.tests[i]}'")
-    return scores
 
 
 def save_report(report: EvalReport, report_path, det_csv_path) -> None:

@@ -2,18 +2,20 @@ import builtins
 import hashlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_experiment, subset
-from oracles import cosine_bits_oracle, select_impostors_oracle
+from oracles import cosine_bits_oracle, load_scores_oracle, select_impostors_oracle
 from spkdbn import cli
+from spkdbn.balance import kmeans_cosine
 from spkdbn.cli import (
     ExperimentConfig,
     PipelineError,
@@ -32,11 +34,13 @@ from spkdbn.embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from spkdbn.evaluation import parse_trials, save_scores
+from spkdbn.evaluation import evaluate_trials, fuse, parse_trials, save_report
 from spkdbn.udbn import load_dbn, normalize_udbn, train_udbn
 
-STAGE_COMMANDS = ("train-udbn", "select-impostors", "cluster", "train-speakers",
-                  "score", "score-baseline", "fuse", "evaluate")
+STAGE_COMMANDS = ("train-udbn", "balance", "train-speakers", "score")
+# Each retired subcommand name, with the stage that runs in its place.
+RETIRED = {"select-impostors": "balance", "cluster": "balance", "score-baseline": "score",
+           "fuse": "score", "evaluate": "score"}
 
 
 def _file_hash(path):
@@ -102,14 +106,15 @@ def test_preset_kernel_configs_are_pinned(task, depth):
 
 # config_hash of each preset with no other key set.  A preset holds only
 # the values that differ from the ExperimentConfig field defaults, so these
-# digests also change when a default that a preset relies on changes.
+# digests also change when a default that a preset relies on changes.  The
+# input and output paths are not hashed.
 PRESET_HASHES = {
-    ("single", 1): "d94e726f76dcdf51f566f9c683370872b7fe89d7f98115fc4cf757835788ad62",
-    ("single", 2): "fc5d09f8ac008a87d5e0edaef1c13352e25acf0e1685399f888000b73e529c9d",
-    ("single", 3): "7527f0779a38a4f468b93522a09cd0af72c569d22b7dde4a75cf41cd6f0d1eda",
-    ("multi", 1): "4348fa25e88fadcbb07c806b2d7d1e58578e841e114ba2b8f74463560eb40398",
-    ("multi", 2): "89982ab06cbb2a25357998aeeabbc9a49b54a0c88184398f55d65d84064b5b74",
-    ("multi", 3): "d3b1052edb9dcff25a06a42d879a1d7d1edb805beaa8e7a0ef618e4f19b1da55",
+    ("single", 1): "b58cdb06762c6a19097f22e050e159fcadf5284066616e5305f7783859349022",
+    ("single", 2): "cce9394c9eeeee23d43c9d20d06357988596e7035c1ffa88e38298404cd4d0b4",
+    ("single", 3): "5f2423ef99ee944b00d51f4b1b397f891c2be87619536e265fe06651beb2632a",
+    ("multi", 1): "88166e700b9e0b242d74d752e71d45c49f40dd30f66ce803c987d986eedb50bd",
+    ("multi", 2): "bdbe1b4208c2aec93f45c5131b1fada97e536acb32e4ab4de390ecb594e715c5",
+    ("multi", 3): "a7253ab4110c9e6a1d63a644a15ba06eefabcfefb6197f6b5dcf33ebc7dfcde0",
 }
 
 
@@ -173,6 +178,51 @@ def test_config_hash_sensitivity():
     b = resolve_config({"task": "single", "depth": "1", "master_seed": "5"})
     assert config_hash(a) != config_hash(b)
     assert config_hash(a) == config_hash(resolve_config({"task": "single", "depth": "1"}))
+    moved = {"background": "b.txt", "enroll": "e.txt", "test": "t.txt", "trials": "tr.txt",
+             "out": "elsewhere"}
+    assert config_hash(a) == config_hash(resolve_config({"task": "single", "depth": "1"} | moved))
+
+
+# For each key that config_hash covers, a valid value other than single-2L's.
+HASHED_CHANGES = {
+    "task": "multi", "depth": "3", "master_seed": "1", "init_mode": "random",
+    "hidden_size": "64", "grbm_lr": "0.02", "grbm_epochs": "5", "bb_lr": "0.05",
+    "bb_epochs": "5", "impostor_n": "3", "impostor_kappa": "400", "num_minibatches": "4",
+    "num_centroids": "6", "adapt_layers": "1", "adapt_lr": "0.002,0.0001",
+    "adapt_epochs": "20,16", "ft_lr": "0.004", "ft_epochs": "99",
+}
+
+
+def test_every_key_but_the_paths_has_a_hashed_change():
+    paths = {*cli._INPUTS, "out"}
+    assert set(HASHED_CHANGES) == {f.name for f in fields(ExperimentConfig)} - paths
+
+
+@pytest.mark.parametrize("key", sorted(HASHED_CHANGES))
+def test_config_hash_changes_with_each_experiment_key(key):
+    base = {"task": "single", "depth": "2"}
+    a, b = resolve_config(base), resolve_config(base | {key: HASHED_CHANGES[key]})
+    assert getattr(a, key) != getattr(b, key)
+    assert config_hash(a) != config_hash(b)
+
+
+def test_the_same_experiment_in_two_output_directories_writes_identical_files(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    for out in ("a", "b"):
+        assert main(["run", "--config", cfg_file, "--override", f"out={tmp_path / out}"]) == 0
+    assert _file_hash(tmp_path / "a" / "stamp") == _file_hash(tmp_path / "b" / "stamp")
+    assert _tree_hashes(tmp_path / "a") == _tree_hashes(tmp_path / "b")
+
+
+def test_a_second_spelling_of_the_output_path_resumes_without_a_mismatch(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train-udbn", "--config", cfg_file, "--override", "out=rel/out"]) == 0
+    assert main(["balance", "--config", cfg_file, "--override", "out=./rel/out"]) == 0
+    assert (tmp_path / "rel" / "out" / "stamp").read_text().splitlines()[1:] == [
+        "train-udbn", "balance"]
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -227,6 +277,66 @@ def test_stage_skipping_matches_fresh_run(tmp_path):
     os.remove(tmp_path / "exp" / "out" / "scores_fused.txt")
     run_pipeline(cfg)
     assert _file_hash(tmp_path / "exp" / "out" / "scores_fused.txt") == before
+
+
+# Every file a 4-speaker run writes besides `stamp`, with the stage that writes it.
+ARTIFACT_STAGES = {
+    "udbn_norm.dbn": "train-udbn", "whitener.npz": "train-udbn",
+    "selected_impostors.txt": "balance", "centroids.txt": "balance",
+    **{f"models/spk{s:04d}.dnn": "train-speakers" for s in range(4)},
+    **{name: "score" for system in ("dnn", "baseline", "fused")
+       for name in (f"scores_{system}.txt", f"report_{system}.txt", f"det_{system}.csv")},
+}
+
+
+@pytest.fixture(scope="module")
+def finished_experiment(tmp_path_factory):
+    """(pairs, config file) of a 4-speaker experiment that has run to the end;
+    a test that runs a stage copies its `out` first."""
+    root = tmp_path_factory.mktemp("finished")
+    pairs = make_experiment(root / "exp", num_speakers=4)
+    cfg_file = _write_config(root / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file]) == 0
+    return pairs, cfg_file
+
+
+def test_every_artifact_of_a_run_has_its_stage_listed(finished_experiment):
+    pairs, _ = finished_experiment
+    assert set(_tree_hashes(Path(pairs["out"]))) == {*ARTIFACT_STAGES, "stamp"}
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACT_STAGES))
+def test_a_missing_artifact_re_runs_only_its_stage_to_the_same_bytes(
+        tmp_path, monkeypatch, finished_experiment, artifact):
+    pairs, cfg_file = finished_experiment
+    out = tmp_path / "out"
+    shutil.copytree(pairs["out"], out)
+    want = _tree_hashes(out)
+    os.remove(out / artifact)
+    ran = []
+    for name, _, _ in cli.STAGES:
+        attr = "stage_" + name.replace("-", "_")
+        real = getattr(cli, attr)
+        monkeypatch.setattr(cli, attr,
+                            lambda *args, _real=real, _name=name: ran.append(_name) or _real(*args))
+    assert main(["run", "--config", cfg_file, "--override", f"out={out}"]) == 0
+    assert ran == [ARTIFACT_STAGES[artifact]]
+    assert _tree_hashes(out) == want
+
+
+@pytest.mark.parametrize("system", ["dnn", "baseline", "fused"])
+def test_reports_and_det_files_evaluate_the_written_scores(tmp_path, finished_experiment, system):
+    pairs, _ = finished_experiment
+    out = Path(pairs["out"])
+    trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
+    scores = load_scores_oracle(out / f"scores_{system}.txt", trials)
+    if system == "fused":
+        fused = fuse(*(load_scores_oracle(out / f"scores_{s}.txt", trials)
+                       for s in ("dnn", "baseline")))
+        assert fused.tobytes() == scores.tobytes()
+    save_report(evaluate_trials(scores, trials.keys), tmp_path / "report.txt", tmp_path / "det.csv")
+    assert _file_hash(tmp_path / "report.txt") == _file_hash(out / f"report_{system}.txt")
+    assert _file_hash(tmp_path / "det.csv") == _file_hash(out / f"det_{system}.csv")
 
 
 def test_resume_with_different_config_is_rejected(tmp_path):
@@ -306,7 +416,7 @@ def test_crash_in_the_middle_of_train_speakers_resumes_to_a_fresh_run(tmp_path, 
     monkeypatch.setattr(cli.dnn, "save_dnn", crash_on_the_third)
     assert main(["run", "--config", cfg_file]) == 1
     assert len(calls) == 3
-    assert (out / "stamp").read_text().splitlines()[1:] == list(STAGE_COMMANDS[:3])
+    assert (out / "stamp").read_text().splitlines()[1:] == list(STAGE_COMMANDS[:2])
     monkeypatch.undo()
     assert main(["run", "--config", cfg_file]) == 0
     assert _tree_hashes(out) == fresh
@@ -362,11 +472,15 @@ def test_cli_writes_the_normalized_udbn(tmp_path):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_cli_stage_before_its_inputs_fails(tmp_path, capsys):
-    pairs = make_experiment(tmp_path / "exp")
+@pytest.mark.parametrize("command, stage", [("train-speakers", "train-speakers"),
+                                            ("score", "score"), ("fuse", "score"),
+                                            ("score-baseline", "score"), ("evaluate", "score")])
+def test_cli_stage_before_its_inputs_fails(tmp_path, capsys, command, stage):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    assert main(["cluster", "--config", cfg_file]) == 1
-    assert "stage cluster" in capsys.readouterr().err
+    assert main([command, "--config", cfg_file]) == 1
+    assert f"stage {stage}: " in capsys.readouterr().err
+    assert os.listdir(pairs["out"]) == []     # no artifact and no stamp
 
 
 def test_cli_train_speakers_names_the_speaker_with_bad_enrollment(tmp_path, capsys):
@@ -376,7 +490,7 @@ def test_cli_train_speakers_names_the_speaker_with_bad_enrollment(tmp_path, caps
     second = enroll.by_speaker()["spk0005"] + 0.01
     save_embeddings(Dataset(enroll.ids + ("spk0005_sess000b",), enroll.speakers + ("spk0005",),
                             np.vstack([enroll.vectors, second])), pairs["enroll"])
-    for cmd in STAGE_COMMANDS[:3]:
+    for cmd in STAGE_COMMANDS[:2]:
         assert main([cmd, "--config", cfg_file]) == 0
     capsys.readouterr()
     assert main(["train-speakers", "--config", cfg_file]) == 1
@@ -476,48 +590,103 @@ def test_cli_background_too_small_to_whiten_fails_before_anything_is_stamped(tmp
     assert os.path.exists(os.path.join(pairs["out"], "report_fused.txt"))
 
 
-def test_cli_evaluate_rejects_a_nan_score(tmp_path, capsys):
+def _nan_at_trial(monkeypatch, system, index, value=np.nan):
+    """Make the score stage's `system` score of trial `index` NaN (or `value`):
+    the DNN's by the batch that scores it, the baseline's by the call that scores it."""
+    if system == "dnn":
+        score_llr_batch, start = cli.dnn.score_llr_batch, [0]
+
+        def patched(model, X):
+            scores = score_llr_batch(model, X)
+            if start[0] <= index < start[0] + len(scores):
+                scores[index - start[0]] = value
+            start[0] += len(scores)
+            return scores
+
+        monkeypatch.setattr(cli.dnn, "score_llr_batch", patched)
+    else:
+        score_baseline, calls = cli.evaluation.score_baseline, []
+
+        def patched(model, test):
+            calls.append(1)
+            return value if len(calls) == index + 1 else score_baseline(model, test)
+
+        monkeypatch.setattr(cli.evaluation, "score_baseline", patched)
+
+
+@pytest.mark.parametrize("system, index", [("dnn", 6), ("baseline", 5)])
+def test_cli_score_rejects_a_nan_score_before_writing_anything(tmp_path, capsys, monkeypatch,
+                                                              system, index):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     out = tmp_path / "exp" / "out"
-    out.mkdir()
+    for cmd in STAGE_COMMANDS[:3]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    before = _tree_hashes(out)
     trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
-    scores = np.arange(len(trials), dtype=float)
-    for system in ("dnn", "baseline", "fused"):
-        save_scores(scores, trials, out / f"scores_{system}.txt")
-    assert main(["evaluate", "--config", cfg_file]) == 0
-    lines = (out / "scores_baseline.txt").read_text().splitlines()
-    lines[5] = lines[5].rsplit(" ", 1)[0] + " nan"
-    (out / "scores_baseline.txt").write_text("\n".join(lines) + "\n")
-    os.remove(out / "report_baseline.txt")
+    _nan_at_trial(monkeypatch, system, index)
     capsys.readouterr()
-    assert main(["evaluate", "--config", cfg_file]) == 1
-    assert (f"stage evaluate: {out / 'scores_baseline.txt'}:6: non-finite score 'nan'"
-            in capsys.readouterr().err)
-    assert not (out / "report_baseline.txt").exists()
+    assert main(["score", "--config", cfg_file]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage score: non-finite {system} score nan for trial "
+        f"'{trials.models[index]} {trials.tests[index]}'\n")
+    assert _tree_hashes(out) == before        # no score file, report or DET file
+    monkeypatch.undo()
+    assert main(["score", "--config", cfg_file]) == 0
 
 
-def test_cli_fuse_rejects_a_nan_score_by_line(tmp_path, capsys):
-    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
-    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    out = tmp_path / "exp" / "out"
-    out.mkdir()
+@pytest.fixture(scope="module")
+def trained_experiment(tmp_path_factory):
+    """(pairs, config file, trials) of a 4-speaker experiment whose first three
+    stages have run; a test copies its `out` before running a stage."""
+    root = tmp_path_factory.mktemp("trained")
+    pairs = make_experiment(root / "exp", num_speakers=4)
+    cfg_file = _write_config(root / "exp.cfg", pairs)
+    for cmd in STAGE_COMMANDS[:3]:
+        assert main([cmd, "--config", cfg_file]) == 0
     trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
-    for system in ("dnn", "baseline"):
-        save_scores(np.arange(len(trials), dtype=float), trials, out / f"scores_{system}.txt")
-    lines = (out / "scores_dnn.txt").read_text().splitlines()
-    lines[6] = lines[6].rsplit(" ", 1)[0] + " nan"
-    (out / "scores_dnn.txt").write_text("\n".join(lines) + "\n")
-    assert main(["fuse", "--config", cfg_file]) == 1
-    assert (f"stage fuse: {out / 'scores_dnn.txt'}:7: non-finite score 'nan'"
-            in capsys.readouterr().err)
-    assert not (out / "scores_fused.txt").exists()
+    return pairs, cfg_file, trials
 
 
-def test_cli_select_impostors_stage_uses_the_configured_n(tmp_path):
+@pytest.mark.parametrize("position", [0, 13, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("system", ["dnn", "baseline"])
+def test_cli_score_names_the_first_non_finite_score_of_either_system(
+        tmp_path, capsys, monkeypatch, trained_experiment, system, value, position):
+    pairs, cfg_file, trials = trained_experiment
+    out = tmp_path / "out"
+    shutil.copytree(pairs["out"], out)
+    before = _tree_hashes(out)
+    index = position % len(trials)
+    _nan_at_trial(monkeypatch, system, index, value)
+    capsys.readouterr()
+    assert main(["score", "--config", cfg_file, "--override", f"out={out}"]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage score: non-finite {system} score {float(value)!r} for trial "
+        f"'{trials.models[index]} {trials.tests[index]}'\n")
+    assert _tree_hashes(out) == before        # no score file, report or DET file
+
+
+@pytest.mark.parametrize("command", ["run", "score-baseline", "fuse", "evaluate"])
+def test_cli_a_nan_score_stops_every_command_that_runs_the_score_stage(
+        tmp_path, capsys, monkeypatch, trained_experiment, command):
+    pairs, cfg_file, trials = trained_experiment
+    out = tmp_path / "out"
+    shutil.copytree(pairs["out"], out)
+    before = _tree_hashes(out)
+    _nan_at_trial(monkeypatch, "dnn", 13)
+    capsys.readouterr()
+    assert main([command, "--config", cfg_file, "--override", f"out={out}"]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage score: non-finite dnn score nan for trial "
+        f"'{trials.models[13]} {trials.tests[13]}'\n")
+    assert _tree_hashes(out) == before
+
+
+def test_cli_balance_stage_uses_the_configured_n_and_clusters_the_selected_rows(tmp_path):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"impostor_n": "3"}
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    assert main(["select-impostors", "--config", cfg_file]) == 0
+    assert main(["balance", "--config", cfg_file]) == 0
     background = load_embeddings(pairs["background"])
     targets = [v.mean(axis=0).tolist() for v in load_embeddings(pairs["enroll"]).by_speaker().values()]
     kappa = int(pairs["impostor_kappa"])
@@ -526,6 +695,13 @@ def test_cli_select_impostors_stage_uses_the_configured_n(tmp_path):
     assert lines == [f"{background.ids[i]} {freqs[i]}" for i in selected]
     # kappa=60 keeps every impostor that a top-3 list names: N * T picks in all
     assert sum(int(line.split()[1]) for line in lines) == 3 * len(targets)
+    # the centroids cluster the kappa selected rows, not the whole background
+    cfg = resolve_config(pairs)
+    want = kmeans_cosine(background.vectors[selected], cfg.num_centroids,
+                         seed=derive_seed(cfg.master_seed, "kmeans"))
+    got = load_embeddings(tmp_path / "exp" / "out" / "centroids.txt")
+    assert got.ids == tuple(f"centroid_{j}" for j in range(cfg.num_centroids))
+    assert got.vectors.tobytes() == want.tobytes()
 
 
 def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
@@ -548,7 +724,7 @@ def test_cli_multi_task_trains_a_speaker_with_fewer_sessions(tmp_path):
     sessions = generate_synthetic(SynthConfig(6, 8, 50, 1.0, 0.2, seed=5))
     save_embeddings(subset(sessions, lambda utt: utt != "spk0004_sess007"), pairs["enroll"])
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    for cmd in STAGE_COMMANDS[:4]:
+    for cmd in STAGE_COMMANDS[:3]:
         assert main([cmd, "--config", cfg_file]) == 0, cmd
     models = sorted(p.name for p in (tmp_path / "exp" / "out" / "models").glob("*.dnn"))
     assert models == [f"spk{s:04d}.dnn" for s in range(6)]
@@ -568,8 +744,7 @@ def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
             for utt, test_spk in zip(test.ids, test.speakers):
                 fh.write(f"{spk} {utt} {'target' if test_spk == spk else 'nontarget'}\n")
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    assert main(["train-udbn", "--config", cfg_file]) == 0
-    assert main(["score-baseline", "--config", cfg_file]) == 0
+    assert main(["run", "--config", cfg_file]) == 0
 
     w = fit_whitener(load_embeddings(pairs["background"]).vectors)
 
@@ -598,8 +773,8 @@ def test_cli_trial_naming_an_unknown_id_is_reported(tmp_path, capsys, trial, mes
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["run", "--config", cfg_file]) == 1
     assert f"stage score: {message}" in capsys.readouterr().err
-    assert main(["score-baseline", "--config", cfg_file]) == 1
-    assert f"stage score-baseline: {message}" in capsys.readouterr().err
+    assert main(["score-baseline", "--config", cfg_file]) == 1    # runs the score stage
+    assert f"stage score: {message}" in capsys.readouterr().err
 
 
 def test_cli_repeated_trial_pair_is_reported(tmp_path, capsys):
@@ -668,8 +843,100 @@ def test_stage_subcommands_parse_the_background_only_in_the_setup_stages(tmp_pat
     monkeypatch.setattr(cli, "parse_embeddings", spy)
     for command in STAGE_COMMANDS:
         assert main([command, "--config", cfg_file]) == 0, command
-    assert [cmd for cmd, name in parses if name == "background"] == [
-        "train-udbn", "select-impostors", "cluster"]
+    assert [cmd for cmd, name in parses if name == "background"] == ["train-udbn", "balance"]
+
+
+def test_score_parses_trials_and_test_once_and_reads_no_score_file(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    for cmd in STAGE_COMMANDS[:3]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    name_of = {pairs[key]: key for key in INPUTS}
+    parses, reads = Counter(), []
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if (isinstance(file, (str, os.PathLike)) and "w" not in mode
+                and os.path.basename(file).startswith("scores_")):
+            reads.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def counted(parse):
+        def wrapper(lines, path):
+            parses[name_of[path]] += 1
+            return parse(lines, path)
+        return wrapper
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(cli, "parse_embeddings", counted(cli.parse_embeddings))
+    monkeypatch.setattr(cli.evaluation, "parse_trials", counted(cli.evaluation.parse_trials))
+    assert main(["score", "--config", cfg_file]) == 0
+    assert parses == {"trials": 1, "test": 1, "enroll": 1}
+    assert reads == []
+
+
+@pytest.mark.parametrize("command", ["balance", "select-impostors", "cluster"])
+def test_balance_parses_the_background_once_and_reads_back_no_impostor_list(tmp_path, monkeypatch,
+                                                                           command):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["train-udbn", "--config", cfg_file]) == 0
+    name_of = {pairs[key]: key for key in INPUTS}
+    parses, reads = Counter(), []
+    real_open = builtins.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if (isinstance(file, (str, os.PathLike)) and "w" not in mode
+                and os.path.basename(file) == "selected_impostors.txt"):
+            reads.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    def counted(lines, path):
+        parses[name_of[path]] += 1
+        return parse(lines, path)
+
+    parse = cli.parse_embeddings
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(cli, "parse_embeddings", counted)
+    assert main([command, "--config", cfg_file]) == 0
+    assert parses == {"background": 1, "enroll": 1}
+    assert reads == []
+    assert (tmp_path / "exp" / "out" / "stamp").read_text().splitlines()[1:] == [
+        "train-udbn", "balance"]
+
+
+@pytest.mark.parametrize("spelling", ["dot", "absolute", "parent"])
+@pytest.mark.parametrize("key", INPUTS)
+def test_a_second_spelling_of_an_input_path_resumes_without_a_mismatch(tmp_path, monkeypatch,
+                                                                        key, spelling):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    monkeypatch.chdir(tmp_path)
+    relative = {k: f"exp/{k}.txt" for k in INPUTS}
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs | relative | {"out": "out"})
+    respelled = {"dot": f"./exp/{key}.txt", "absolute": str(tmp_path / "exp" / f"{key}.txt"),
+                 "parent": f"exp/../exp/{key}.txt"}[spelling]
+    assert main(["train-udbn", "--config", cfg_file]) == 0
+    assert main(["balance", "--config", cfg_file, "--override", f"{key}={respelled}"]) == 0
+    assert (tmp_path / "out" / "stamp").read_text().splitlines()[1:] == ["train-udbn", "balance"]
+
+
+@pytest.mark.parametrize("retired", sorted(RETIRED))
+def test_retired_subcommand_runs_its_merged_stage(tmp_path, retired):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    stage = RETIRED[retired]
+    for cmd in STAGE_COMMANDS[:STAGE_COMMANDS.index(stage)]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    out = tmp_path / "exp" / "out"
+    before = set(_tree_hashes(out))
+    assert main([retired, "--config", cfg_file]) == 0
+    made = _tree_hashes(out)
+    assert (out / "stamp").read_text().splitlines()[-1] == stage
+    assert len(set(made) - before - {"stamp"}) == (2 if stage == "balance" else 9)
+    # a missing artifact of the merged stage makes the retired name re-run it
+    os.remove(out / ("selected_impostors.txt" if stage == "balance" else "det_baseline.csv"))
+    assert main([retired, "--config", cfg_file]) == 0
+    assert _tree_hashes(out) == made
 
 
 def test_input_rewritten_after_the_stamp_fails_the_stage_that_parses_it(tmp_path, monkeypatch,
@@ -749,7 +1016,7 @@ def test_train_speakers_starts_at_most_one_worker_per_speaker(tmp_path, monkeypa
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    for cmd in STAGE_COMMANDS[:3]:
+    for cmd in STAGE_COMMANDS[:2]:
         assert main([cmd, "--config", cfg_file]) == 0
     assert main(["train-speakers", "--config", cfg_file, "--jobs", "64"]) == 0
     assert sizes == [4]
@@ -762,7 +1029,7 @@ def test_speakers_with_identical_enrollment_get_different_models(tmp_path):
     vectors[1] = vectors[0]
     save_embeddings(Dataset(enroll.ids, enroll.speakers, vectors), pairs["enroll"])
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    for cmd in STAGE_COMMANDS[:4]:
+    for cmd in STAGE_COMMANDS[:3]:
         assert main([cmd, "--config", cfg_file]) == 0
     models = tmp_path / "exp" / "out" / "models"
     a, b = enroll.speakers[:2]

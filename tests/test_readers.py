@@ -1,27 +1,16 @@
-"""The embedding, trial and score readers against line-by-line oracles.
+"""The embedding and trial readers against line-by-line oracles.
 
 Each case runs the package reader and its oracle on the same file: a valid
 file must give bit-identical arrays, and a malformed one the same ParseError
-text.  The score reader takes a file in blocks of lines, so each of its
-cases also runs with blocks of 1, 2 and 3 lines, and a long file spans
-many blocks of the real size.
+text.
 """
 
 import pytest
 import numpy as np
 
-from oracles import load_scores_oracle, parse_embeddings_oracle, parse_trials_oracle
-from spkdbn import evaluation
+from oracles import parse_embeddings_oracle, parse_trials_oracle
 from spkdbn.embeddings import ParseError, parse_embeddings
-from spkdbn.evaluation import Trials, load_scores, parse_trials
-
-BLOCK = evaluation._BLOCK_LINES
-
-
-@pytest.fixture(params=[BLOCK, 1, 2, 3], ids=lambda n: f"block{n}")
-def block_lines(request, monkeypatch):
-    monkeypatch.setattr(evaluation, "_BLOCK_LINES", request.param)
-    return request.param
+from spkdbn.evaluation import Trials, parse_trials
 
 
 def _outcome(read, *args):
@@ -55,27 +44,11 @@ def _check_trials(text, path="trials.txt"):
     return got
 
 
-def _check_scores(tmp_path, text, trials):
-    path = tmp_path / "scores.txt"
-    path.write_bytes(text.encode())
-    got, want = _outcome(load_scores, path, trials), _outcome(load_scores_oracle, path, trials)
-    assert got[0] == want[0], (got, want)
-    if got[0] == "error":
-        assert got[1] == want[1]
-    else:
-        assert _same_array(got[1], want[1])
-    return got
-
-
 def _trials(n_models, n_tests):
     models = [f"m{i:03d}" for i in range(n_models) for _ in range(n_tests)]
     tests = [f"t{j:06d}" for _ in range(n_models) for j in range(n_tests)]
     keys = ["target" if j % 7 == 0 else "nontarget" for j in range(len(models))]
     return Trials(tuple(models), tuple(tests), tuple(keys))
-
-
-def _score_lines(trials, scores):
-    return [f"{m} {t} {float(s)!r}\n" for m, t, s in zip(trials.models, trials.tests, scores)]
 
 
 # ---------------------------------------------------------------- embeddings
@@ -165,62 +138,3 @@ def test_trial_reader_matches_the_oracle_on_a_long_shuffled_list():
     outcome, error = _check_trials("".join(lines) + lines[0])
     assert error.endswith(f":{len(lines) + 1}: trial '{' '.join(lines[0].split()[:2])}' "
                           f"repeats line 1")
-
-
-# --------------------------------------------------------------- score files
-
-TRIALS = Trials(("m1", "m1", "m2"), ("t1", "t2", "t1"), ("target", "nontarget", "nontarget"))
-
-
-@pytest.mark.parametrize("text", [
-    "m1 t1 1.0\nm1 t2 2.0\nm2 t1 3.0\n",
-    "# scores\n\nm1 t1 1.0\n\nm1 t2 -2.5e-310\n# c\nm2 t1 0.1\n\n\n",
-    "m1 t1 1.0\r\nm1 t2 2.0\r\nm2 t1 3.0\r\n",
-    "m1 t1 1.0  \nm1 t2 2.0\t\n  m2 t1 3.0 \n",
-    "m1 t1 1_0\nm1 t2 ٣.٥\nm2 t1 4.9e-324\n",
-])
-def test_score_reader_matches_the_oracle_on_valid_files(block_lines, tmp_path, text):
-    assert _check_scores(tmp_path, text, TRIALS)[0] == "ok"
-
-
-@pytest.mark.parametrize("text, message", [
-    ("", ":1: missing 'm1 t1'"),
-    ("m1 t1 1.0\nm1 t2 2.0\n", ":3: missing 'm2 t1'"),
-    ("m1 t1 1.0\nm1 t2 2.0\n\n# c\n", ":5: missing 'm2 t1'"),
-    ("m1 t1 1.0\nm1 t2 2.0\nm2 t1 3.0\nm2 t2 4.0\n", ":4: score past the last of 3 trials"),
-    ("m1 t1 1.0\nm1 t9 2.0\nm2 t1 3.0\n", ":2: expected 'm1 t2 <score>'"),
-    ("m1 t1 1.0\nm1 t2\nm2 t1 3.0\n", ":2: expected 'm1 t2 <score>'"),
-    ("m1 t1 1.0\nm1 t2 2.0 3.0\nm2 t1 3.0\n", ":2: expected 'm1 t2 <score>'"),
-    ("m1 t1 1.0\nm2 t1 3.0\nm1 t2 2.0\n", ":2: expected 'm1 t2 <score>'"),
-    ("m1 t1 1.0\nm1 t2 0x1\nm2 t1 3.0\n", ":2: bad score field"),
-    ("m1 t1 1.0\nm1 t2 1__0\nm2 t1 3.0\n", ":2: bad score field"),
-    ("m1 t1 1.0\nm1 t2 Infinity\nm2 t1 3.0\n", ":2: non-finite score 'Infinity'"),
-    ("m1 t1 1.0\nm1 t2 1e400\nm2 t1 3.0\n", ":2: non-finite score '1e400'"),
-    ("m1 t1 1.0\nm1 t2 -nan\nm2 t1 3.0\n", ":2: non-finite score '-nan'"),
-    # two faults: the earlier line is named
-    ("m1 t1 nan\nm1 t9 2.0\nm2 t1 3.0\n", ":1: non-finite score 'nan'"),
-    ("m1 t1 1.0\nm1 t9 2.0\nm2 t1 inf\n", ":2: expected 'm1 t2 <score>'"),
-    ("m1 t1 x\nm1 t2 inf\nm2 t1 3.0\nm2 t2 4.0\n", ":1: bad score field"),
-])
-def test_score_reader_matches_the_oracle_on_malformed_files(block_lines, tmp_path, text, message):
-    outcome, error = _check_scores(tmp_path, text, TRIALS)
-    assert outcome == "error" and error.endswith(message)
-
-
-def test_score_reader_spans_blocks_bit_for_bit_and_names_a_fault_in_a_later_block(tmp_path):
-    trials = _trials(3, 22000)                      # 66000 lines, many blocks
-    rng = np.random.default_rng(5)
-    scores = rng.normal(size=len(trials)) * 10.0 ** rng.integers(-300, 300, size=len(trials))
-    lines = _score_lines(trials, scores)
-    assert len(lines) > max(BLOCK, 65536)
-    outcome, loaded = _check_scores(tmp_path, "# c\n" + "".join(lines), trials)
-    assert outcome == "ok" and loaded.tobytes() == scores.tobytes()
-    k = len(lines) * 3 // 4                         # in a late block
-    lines[k] = f"{trials.models[k]} {trials.tests[k]} nan\n"
-    lines[k + 3] = "a b c\n"
-    outcome, error = _check_scores(tmp_path, "".join(lines), trials)
-    assert error.endswith(f":{k + 1}: non-finite score 'nan'")
-    outcome, error = _check_scores(tmp_path, "".join(lines[:-1]), trials)
-    assert error.endswith(f":{k + 1}: non-finite score 'nan'")
-    outcome, error = _check_scores(tmp_path, "".join(_score_lines(trials, scores)[:-1]), trials)
-    assert error.endswith(f":{len(lines)}: missing '{trials.models[-1]} {trials.tests[-1]}'")

@@ -41,6 +41,8 @@ MUTANTS = {
     "stage-impostor-n-one": (
         "cli", "inputs.background.vectors, cfg.impostor_n)", "inputs.background.vectors, 1)"),
     "impostor-n-unchecked": ("cli", "if self.impostor_n < 1:", "if False:"),
+    "balance-clusters-every-row": (
+        "cli", "inputs.background.vectors[selected]", "inputs.background.vectors"),
     "no-empty-cluster-repair": (
         "balance", "new_assign = _repair_empty_clusters(new_assign, sims, k)",
         "new_assign = new_assign"),
@@ -105,13 +107,10 @@ MUTANTS = {
         "evaluation", "np.where((lo < mid) & (mid <= hi), mid, hi)", "mid"),
     "eer-no-interpolation": (
         "evaluation", "eer = p_miss[i - 1] + a * (p_miss[i] - p_miss[i - 1])", "eer = p_miss[i]"),
-    "non-finite-score-loads": (
-        "evaluation", " and np.isfinite(block).all()", ""),
-    "score-ids-unchecked": ("evaluation", "if ids == expected and ", "if "),
+    "non-finite-score-fused": ("cli", "        if bad.size:", "        if False:"),
     "trial-duplicates-unchecked": ("evaluation", "if pair in key_of:", "if False:"),
     "forward-bias-dropped": ("dnn", "a += b", "pass"),
-    "score-enrolled-set-unchecked": (
-        "cli", "_model_blocks(trials, inputs.speakers)", "trials.by_model()"),
+    "score-enrolled-set-unchecked": ("cli", "_model_blocks(trials, groups)", "trials.by_model()"),
     "baseline-whitener-refitted": (
         "cli", 'Whitener(arrays["mean"], arrays["transform"])',
         "fit_whitener(inputs.background.vectors)"),
