@@ -362,7 +362,9 @@ def stage_balance(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None
 
 
 def _train_one_speaker(args) -> str:
-    """Worker: adapt (optionally) and fine-tune one speaker's DNN."""
+    """Worker: adapt (optionally) and fine-tune one speaker's DNN.  The
+    network is one set of arrays from load to save: adaptation, the DNN
+    built on the adapted DBN and fine-tuning all work in place."""
     cfg, speaker_id, targets, centroids, udbn_path, model_path = args
     try:
         if cfg.task == "single" and targets.shape[0] != 1:
@@ -379,8 +381,7 @@ def _train_one_speaker(args) -> str:
     else:
         sizes = [targets.shape[1]] + [cfg.hidden_size] * cfg.depth + [2]
         model = dnn.init_random(sizes, seed=spk_seed)
-    trained = dnn.train_speaker_dnn(model, plan, _fine_tune_config(cfg))
-    dnn.save_dnn(trained, model_path)
+    dnn.save_dnn(dnn.train_speaker_dnn(model, plan, _fine_tune_config(cfg)), model_path)
     return speaker_id
 
 

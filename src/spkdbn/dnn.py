@@ -79,13 +79,14 @@ def init_random(layer_sizes, seed: int) -> DnnModel:
     return DnnModel(weights, biases)
 
 
-def init_from_dbn(adapted: DbnParams, seed: int) -> DnnModel:
-    """Hidden layers copy the DBN weights and hidden biases; the output
-    layer is drawn uniform on [0, 0.01) with zero biases."""
+def init_from_dbn(dbn: DbnParams, seed: int) -> DnnModel:
+    """Hidden layers are the DBN's own weight and hidden-bias arrays, not
+    copies, so training the model changes `dbn`; the output layer is
+    drawn uniform on [0, 0.01) with zero biases."""
     rng = np.random.default_rng(seed)
-    weights = [layer.W.copy() for layer in adapted.layers]
-    biases = [layer.b_hid.copy() for layer in adapted.layers]
-    n_top = adapted.layers[-1].n_hidden
+    weights = [layer.W for layer in dbn.layers]
+    biases = [layer.b_hid for layer in dbn.layers]
+    n_top = dbn.layers[-1].n_hidden
     weights.append(rng.uniform(0.0, 0.01, size=(n_top, 2)))
     biases.append(np.zeros(2))
     return DnnModel(weights, biases)
@@ -151,12 +152,12 @@ def backprop_minibatch(
     return loss
 
 
-def train_speaker_dnn(init: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) -> DnnModel:
-    """Fine-tune a model over the balanced plan's minibatches, in order,
-    for cfg.epochs passes.  The input model is left untouched."""
+def train_speaker_dnn(model: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) -> DnnModel:
+    """Fine-tune `model` in place over the balanced plan's minibatches, in
+    order, for cfg.epochs passes, and return it; a caller that needs the
+    initial parameters afterwards passes a copy."""
     if len(plan.batches) == 0:
         raise ValueError("empty minibatch plan")
-    model = init.copy()
     velocity = DnnVelocity.zeros_like(model)
     for _ in range(cfg.epochs):
         for X in plan.batches:

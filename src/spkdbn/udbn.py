@@ -6,7 +6,9 @@ above).  Its parameters are normalized into the random-init dynamic
 range and then lightly re-trained (adapted) on each speaker's balanced
 data to give speaker-specific network initializations.  Adaptation runs
 the same CD-1 epoch loop as pretraining (`rbm._cd1_epochs`), from the
-normalized parameters and on the speaker's minibatches.
+normalized parameters and on the speaker's minibatches, in place: it
+consumes the DBN it is given, so a caller that needs the normalized
+parameters afterwards adapts a copy.
 """
 
 from __future__ import annotations
@@ -92,28 +94,28 @@ def normalize_udbn(dbn: DbnParams) -> DbnParams:
     return DbnParams(layers, normalized=True)
 
 
-def adapt_udbn(udbn_norm: DbnParams, batches, cfgs) -> DbnParams:
+def adapt_udbn(dbn: DbnParams, batches, cfgs) -> DbnParams:
     """Speaker adaptation: pretraining's CD-1 epochs, run per layer from
     the normalized UDBN's parameters on the speaker's minibatches.
 
-    batches is the (K, m, d) array of the speaker's balanced minibatches
+    Adapts `dbn` in place and returns it; a caller that needs the
+    unadapted parameters afterwards passes a copy.  batches is the
+    (K, m, d) array of the speaker's balanced minibatches
     (`MinibatchPlan.batches`).  cfgs is one RbmTrainConfig per adapted
     layer, from the bottom; layer k runs on a generator seeded
     [cfgs[k].seed, k] and sees the minibatches propagated through the
-    already adapted layers below it.  Layers above the last config are
-    copied unchanged.
+    already adapted layers below it.
     """
     cfgs = list(cfgs)
-    if len(cfgs) > len(udbn_norm.layers):
-        raise ValueError(f"{len(cfgs)} adapted layers exceed DBN depth {len(udbn_norm.layers)}")
+    if len(cfgs) > len(dbn.layers):
+        raise ValueError(f"{len(cfgs)} adapted layers exceed DBN depth {len(dbn.layers)}")
     batches = np.asarray(batches, dtype=float)
     if batches.ndim != 3 or len(batches) == 0:
         raise ValueError(f"minibatches must be a non-empty (K, m, d) array, got shape {batches.shape}")
-    adapted = udbn_norm.copy()
     for k, cfg in enumerate(cfgs):
-        inputs = [adapted.propagate(b, upto=k) for b in batches]
-        _cd1_epochs(adapted.layers[k], inputs, cfg, np.random.default_rng([cfg.seed, k]))
-    return adapted
+        inputs = [dbn.propagate(b, upto=k) for b in batches]
+        _cd1_epochs(dbn.layers[k], inputs, cfg, np.random.default_rng([cfg.seed, k]))
+    return dbn
 
 
 def save_dbn(dbn: DbnParams, path) -> None:

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -35,7 +36,8 @@ from spkdbn.embeddings import (
     save_embeddings,
 )
 from spkdbn.evaluation import evaluate_trials, fuse, parse_trials, save_report
-from spkdbn.udbn import load_dbn, normalize_udbn, train_udbn
+from spkdbn.rbm import RbmParams
+from spkdbn.udbn import DbnParams, load_dbn, normalize_udbn, save_dbn, train_udbn
 
 STAGE_COMMANDS = ("train-udbn", "balance", "train-speakers", "score")
 # Each retired subcommand name, with the stage that runs in its place.
@@ -1035,6 +1037,30 @@ def test_speakers_with_identical_enrollment_get_different_models(tmp_path):
     a, b = enroll.speakers[:2]
     assert a != b
     assert _file_hash(models / f"{a}.dnn") != _file_hash(models / f"{b}.dnn")
+
+
+def test_training_a_speaker_holds_one_network_and_one_momentum_state(tmp_path):
+    # A 100-512-512-2 network is 315,394 float64 weights and biases,
+    # 2,523,152 bytes.  Its momentum state holds as many again in dW and db,
+    # plus the gW and step blocks, 2 * (64*512 + 64*512 + 512*2) float64 =
+    # 1,064,960 bytes.  The largest transient is one 512x512 weight matrix,
+    # 2,097,152 bytes, as the buffer that saving it makes.  One more copy of
+    # the weights (2,506,752 bytes) crosses the bound.
+    rng = np.random.default_rng(0)
+    layers = [RbmParams(kind, rng.uniform(-0.01, 0.01, size=(n, 512)), np.zeros(n), np.zeros(512))
+              for kind, n in (("gaussian", 100), ("bernoulli", 512))]
+    save_dbn(DbnParams(layers, normalized=True), tmp_path / "udbn_norm")
+    cfg = ExperimentConfig(task="single", depth=2, init_mode="dbn", adapt_layers=2,
+                           adapt_lr=(0.001, 0.0001), adapt_epochs=(1, 1), ft_epochs=2)
+    task = (cfg, "spk", rng.normal(size=(1, 100)), rng.normal(size=(12, 100)),
+            str(tmp_path / "udbn_norm"), str(tmp_path / "spk.dnn"))
+    tracemalloc.start()
+    try:
+        cli._train_one_speaker(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_523_152 + (2_523_152 + 1_064_960) + 2_097_152, peak
 
 
 def test_cli_import_and_an_eer_load_no_scipy_and_no_numpy_ma():

@@ -62,10 +62,7 @@ MUTANTS = {
         "cli", "udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)",
         "udbn.save_dbn(udbn.DbnParams(model.layers, True), paths.udbn_norm)"),
     "adapt-no-op": (
-        "udbn", "_cd1_epochs(adapted.layers[k], inputs",
-        "_cd1_epochs(adapted.layers[k].copy(), inputs"),
-    "adapt-propagates-unadapted": (
-        "udbn", "adapted.propagate(b, upto=k)", "udbn_norm.propagate(b, upto=k)"),
+        "udbn", "_cd1_epochs(dbn.layers[k], inputs", "_cd1_epochs(dbn.layers[k].copy(), inputs"),
     "adapt-same-layer-seed": (
         "udbn", "np.random.default_rng([cfg.seed, k])", "np.random.default_rng([cfg.seed, 0])"),
     "adapt-bottom-layer-only": (
@@ -77,6 +74,10 @@ MUTANTS = {
     # fine-tuning
     "fine-tune-batches-reversed": (
         "dnn", "for X in plan.batches:", "for X in plan.batches[::-1]:"),
+    # the per-speaker network is one set of arrays: a second copy changes
+    # no output byte, only the worker's peak memory
+    "speaker-network-copied": (
+        "cli", "dnn.init_from_dbn(adapted,", "dnn.init_from_dbn(adapted.copy(),"),
     # the momentum step shared by CD-1 and fine-tuning
     "decay-sign": (
         "rbm", "np.multiply(Wb, cfg.weight_decay,", "np.multiply(Wb, -cfg.weight_decay,"),
