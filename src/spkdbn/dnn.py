@@ -40,9 +40,6 @@ class DnnModel:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    def copy(self) -> "DnnModel":
-        return DnnModel([W.copy() for W in self.weights], [b.copy() for b in self.biases])
-
 
 @dataclass(frozen=True)
 class FineTuneConfig:
@@ -69,10 +66,6 @@ class DnnVelocity(list):
 def init_random(layer_sizes, seed: int) -> DnnModel:
     """All weights i.i.d. uniform on [0, 0.01), biases zero."""
     sizes = list(layer_sizes)
-    if len(sizes) < 3:
-        raise ValueError("need input, >=1 hidden and output sizes")
-    if sizes[-1] != 2:
-        raise ValueError("output layer must have 2 units")
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(0.0, 0.01, size=(a, b)) for a, b in zip(sizes, sizes[1:])]
     biases = [np.zeros(b) for b in sizes[1:]]
@@ -155,7 +148,7 @@ def backprop_minibatch(
 def train_speaker_dnn(model: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) -> DnnModel:
     """Fine-tune `model` in place over the balanced plan's minibatches, in
     order, for cfg.epochs passes, and return it; a caller that needs the
-    initial parameters afterwards passes a copy."""
+    initial parameters afterwards passes a copy (`copy.deepcopy`)."""
     if len(plan.batches) == 0:
         raise ValueError("empty minibatch plan")
     velocity = DnnVelocity.zeros_like(model)

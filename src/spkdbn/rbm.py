@@ -45,9 +45,6 @@ class RbmParams:
     def n_hidden(self) -> int:
         return self.b_hid.size
 
-    def copy(self) -> "RbmParams":
-        return RbmParams(self.visible_kind, self.W.copy(), self.b_vis.copy(), self.b_hid.copy())
-
 
 _BLOCK = 32768  # float64 elements (256 KiB) in a row block of `Momentum.descend`
 

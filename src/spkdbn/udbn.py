@@ -8,7 +8,7 @@ data to give speaker-specific network initializations.  Adaptation runs
 the same CD-1 epoch loop as pretraining (`rbm._cd1_epochs`), from the
 normalized parameters and on the speaker's minibatches, in place: it
 consumes the DBN it is given, so a caller that needs the normalized
-parameters afterwards adapts a copy.
+parameters afterwards adapts a copy (`copy.deepcopy`).
 """
 
 from __future__ import annotations
@@ -40,9 +40,6 @@ class DbnParams:
                     f"layer {k} visible size {layer.n_visible} does not chain with "
                     f"layer {k - 1} hidden size {self.layers[k - 1].n_hidden}"
                 )
-
-    def copy(self) -> "DbnParams":
-        return DbnParams([l.copy() for l in self.layers], self.normalized)
 
     def propagate(self, X: np.ndarray, upto: int | None = None) -> np.ndarray:
         """Hidden-probability forward pass through the first `upto` layers."""
@@ -99,8 +96,8 @@ def adapt_udbn(dbn: DbnParams, batches, cfgs) -> DbnParams:
     the normalized UDBN's parameters on the speaker's minibatches.
 
     Adapts `dbn` in place and returns it; a caller that needs the
-    unadapted parameters afterwards passes a copy.  batches is the
-    (K, m, d) array of the speaker's balanced minibatches
+    unadapted parameters afterwards passes a copy (`copy.deepcopy`).
+    batches is the (K, m, d) array of the speaker's balanced minibatches
     (`MinibatchPlan.batches`).  cfgs is one RbmTrainConfig per adapted
     layer, from the bottom; layer k runs on a generator seeded
     [cfgs[k].seed, k] and sees the minibatches propagated through the

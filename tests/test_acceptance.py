@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (the verdict lines print even
 under output capture).
 """
 
+import copy
 import hashlib
 import time
 
@@ -40,7 +41,7 @@ def _random_model(sizes, rng):
 
 
 def _analytic_grads(model, X, Y):
-    probe = model.copy()
+    probe = copy.deepcopy(model)
     cfg = FineTuneConfig(learning_rate=1.0, epochs=1, momentum=0.0, weight_decay=0.0)
     backprop_minibatch(probe, X, Y, cfg, DnnVelocity.zeros_like(probe))
     return ([w0 - w1 for w0, w1 in zip(model.weights, probe.weights)]
@@ -168,7 +169,7 @@ def test_acceptance_6_normalization_contract(verdict):
     rng = np.random.default_rng(1)
     layers = [RbmParams("gaussian", rng.normal(size=(10, 8)), rng.normal(size=10), rng.normal(size=8)),
               RbmParams("bernoulli", rng.normal(scale=3.0, size=(8, 6)), rng.normal(size=8), rng.normal(size=6))]
-    dbn = DbnParams([l.copy() for l in layers])
+    dbn = DbnParams(copy.deepcopy(layers))
     norm = normalize_udbn(dbn)
     ok = True
     detail = []

@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 
@@ -38,6 +39,14 @@ def test_init_random_contract():
     assert all(np.all(b == 0.0) for b in m.biases)
     again = init_random([400, 512, 2], seed=1)
     assert all(np.array_equal(a, b) for a, b in zip(m.weights, again.weights))
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ([3, 4], "model needs at least one hidden layer plus the output layer"),
+    ([3, 4, 3], "output layer must have exactly 2 units")], ids=["no-hidden-layer", "3-outputs"])
+def test_init_random_rejects_sizes_that_are_not_a_two_class_network(sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        init_random(sizes, seed=0)
 
 
 def _dbn(seed=0, sizes=(5, 4)):
@@ -137,7 +146,7 @@ def _num_grad(model, X, Y, step=1e-5):
 
 def _analytic_grad(model, X, Y):
     """Recover raw gradients from one momentum-free unit-lr step."""
-    probe = model.copy()
+    probe = copy.deepcopy(model)
     vel = DnnVelocity.zeros_like(probe)
     cfg = FineTuneConfig(learning_rate=1.0, epochs=1, momentum=0.0, weight_decay=0.0)
     backprop_minibatch(probe, X, Y, cfg, vel)
@@ -171,7 +180,7 @@ def test_backprop_matches_finite_differences():
 
 def test_backprop_zero_lr_is_noop():
     m = _random_model([4, 3, 2], seed=5)
-    before = m.copy()
+    before = copy.deepcopy(m)
     cfg = FineTuneConfig(learning_rate=0.0, epochs=1, momentum=0.9, weight_decay=0.1)
     backprop_minibatch(m, np.ones((2, 4)), np.array([[1.0, 0.0], [0.0, 1.0]]),
                        cfg, DnnVelocity.zeros_like(m))
@@ -225,7 +234,7 @@ def test_train_speaker_dnn_reduces_loss_and_is_deterministic():
     X = plan.batches.reshape(-1, 3)
     Y = np.tile(plan.labels, (len(plan.batches), 1))
     before = mean_cross_entropy_oracle(init, X, Y)
-    twin = init.copy()
+    twin = copy.deepcopy(init)
     trained = train_speaker_dnn(init, plan, cfg)
     after = mean_cross_entropy_oracle(trained, X, Y)
     assert after < before
@@ -240,7 +249,7 @@ def test_train_speaker_dnn_steps_through_the_plan_in_order():
     plan = _toy_plan(1)
     init = init_random([3, 5, 2], seed=2)
     cfg = FineTuneConfig(learning_rate=0.1, epochs=3, momentum=0.5, weight_decay=0.01)
-    ref, velocity = init.copy(), DnnVelocity.zeros_like(init)
+    ref, velocity = copy.deepcopy(init), DnnVelocity.zeros_like(init)
     for _ in range(cfg.epochs):
         for k in range(len(plan.batches)):
             X = np.vstack([plan.batches[k, :2], plan.batches[k, 2:]])
@@ -364,7 +373,7 @@ def test_backprop_two_steps_match_exact_oracle(sizes):
     weights = [rng.normal(0.0, 0.5, size=(a, b)) for a, b in zip(sizes, sizes[1:])]
     model = DnnModel(weights, [rng.normal(size=b) for b in sizes[1:]])
     cfg = FineTuneConfig(learning_rate=0.3, epochs=1, momentum=0.9, weight_decay=0.05)
-    state = (model.copy().weights, model.copy().biases,
+    state = (copy.deepcopy(model.weights), copy.deepcopy(model.biases),
              [np.zeros_like(W) for W in model.weights], [np.zeros_like(b) for b in model.biases])
     vel = DnnVelocity.zeros_like(model)
     for rows in (5, 3):

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import tracemalloc
@@ -136,7 +137,7 @@ def test_training_config_rejects_a_bad_momentum_or_weight_decay(config, bad, mes
 def test_cd1_zero_learning_rate_is_noop():
     rng = np.random.default_rng(2)
     rbm = init_rbm(4, 3, "gaussian", seed=3)
-    before = rbm.copy()
+    before = copy.deepcopy(rbm)
     cd1_step(rbm, rng.normal(size=(5, 4)), _cfg(learning_rate=0.0, momentum=0.9,
                                                 weight_decay=0.01), RbmVelocity.zeros_like(rbm), rng)
     assert np.array_equal(rbm.W, before.W)
@@ -149,7 +150,7 @@ def test_cd1_perfect_reconstruction_gives_zero_update():
     b_vis = np.array([0.3, -1.2])
     rbm = RbmParams("gaussian", np.zeros((2, 2)), b_vis.copy(), np.array([0.7, -0.4]))
     data = np.tile(b_vis, (6, 1))
-    before = rbm.copy()
+    before = copy.deepcopy(rbm)
     cd1_step(rbm, data, _cfg(), RbmVelocity.zeros_like(rbm), np.random.default_rng(0))
     np.testing.assert_array_equal(rbm.W, before.W)
     np.testing.assert_array_equal(rbm.b_vis, before.b_vis)

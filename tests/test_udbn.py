@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ def _batches(seed=0):
 
 def test_adapt_zero_layers_is_identity():
     udbn = normalize_udbn(_random_dbn(1))
-    before = udbn.copy()
+    before = copy.deepcopy(udbn)
     out = adapt_udbn(udbn, _batches(), _adapt_cfg(layers=0))
     assert out is udbn
     for a, b in zip(before.layers, out.layers):
@@ -135,7 +137,7 @@ def test_adapt_zero_layers_is_identity():
 
 def test_adapt_touches_only_requested_layers():
     udbn = normalize_udbn(_random_dbn(2))
-    out = adapt_udbn(udbn.copy(), _batches(), _adapt_cfg(layers=1, epochs=(10, 10)))
+    out = adapt_udbn(copy.deepcopy(udbn), _batches(), _adapt_cfg(layers=1, epochs=(10, 10)))
     assert not np.array_equal(out.layers[0].W, udbn.layers[0].W)
     assert np.array_equal(out.layers[1].W, udbn.layers[1].W)
     assert np.array_equal(out.layers[1].b_hid, udbn.layers[1].b_hid)
@@ -144,8 +146,8 @@ def test_adapt_touches_only_requested_layers():
 
 def test_adapt_differs_per_speaker():
     udbn = normalize_udbn(_random_dbn(3))
-    a = adapt_udbn(udbn.copy(), _batches(10), _adapt_cfg(seed=1))
-    b = adapt_udbn(udbn.copy(), _batches(20), _adapt_cfg(seed=2))
+    a = adapt_udbn(copy.deepcopy(udbn), _batches(10), _adapt_cfg(seed=1))
+    b = adapt_udbn(copy.deepcopy(udbn), _batches(20), _adapt_cfg(seed=2))
     dist = np.linalg.norm(a.layers[0].W - b.layers[0].W)
     assert dist > 0.0
 
@@ -156,9 +158,10 @@ def test_two_layer_adaptation_matches_a_cd1_reference_loop():
     udbn = normalize_udbn(_random_dbn(7))
     batches = _batches(11)
     seed, lrs, epochs = 5, (0.05, 0.1), (3, 2)
-    out = adapt_udbn(udbn.copy(), batches, _adapt_cfg(layers=2, seed=seed, epochs=epochs,
-                                                       lrs=lrs, momentum=0.5, weight_decay=0.01))
-    ref = udbn.copy()
+    out = adapt_udbn(copy.deepcopy(udbn), batches,
+                     _adapt_cfg(layers=2, seed=seed, epochs=epochs, lrs=lrs, momentum=0.5,
+                                weight_decay=0.01))
+    ref = copy.deepcopy(udbn)
     for k in range(2):
         cfg = RbmTrainConfig(learning_rate=lrs[k], epochs=epochs[k], momentum=0.5,
                              weight_decay=0.01, seed=seed)

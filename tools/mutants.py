@@ -62,7 +62,8 @@ MUTANTS = {
         "cli", "udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)",
         "udbn.save_dbn(udbn.DbnParams(model.layers, True), paths.udbn_norm)"),
     "adapt-no-op": (
-        "udbn", "_cd1_epochs(dbn.layers[k], inputs", "_cd1_epochs(dbn.layers[k].copy(), inputs"),
+        "udbn", "_cd1_epochs(dbn.layers[k], inputs",
+        '_cd1_epochs(__import__("copy").deepcopy(dbn.layers[k]), inputs'),
     "adapt-same-layer-seed": (
         "udbn", "np.random.default_rng([cfg.seed, k])", "np.random.default_rng([cfg.seed, 0])"),
     "adapt-bottom-layer-only": (
@@ -77,7 +78,8 @@ MUTANTS = {
     # the per-speaker network is one set of arrays: a second copy changes
     # no output byte, only the worker's peak memory
     "speaker-network-copied": (
-        "cli", "dnn.init_from_dbn(adapted,", "dnn.init_from_dbn(adapted.copy(),"),
+        "cli", "dnn.init_from_dbn(adapted,",
+        'dnn.init_from_dbn(__import__("copy").deepcopy(adapted),'),
     # the momentum step shared by CD-1 and fine-tuning
     "decay-sign": (
         "rbm", "np.multiply(Wb, cfg.weight_decay,", "np.multiply(Wb, -cfg.weight_decay,"),
