@@ -3,15 +3,17 @@
 Wires the full flow: background data -> universal DBN -> impostor
 selection and clustering -> per-speaker adaptation and fine-tuning ->
 LLR and cosine-baseline scoring -> fusion -> evaluation.  The stages
-are declared once, in `STAGES`; `run` walks every entry and each stage
+are declared once, in `STAGES`, each with the files it writes, named
+relative to the output directory; `run` walks every entry and each stage
 subcommand runs only its own (a retired subcommand name in `_ALIASES`
-runs the stage that took it over).  Each input file is hashed when an
-invocation starts and parsed at most once; a file that changes between
-the two is an error.  One resume record, `out/stamp`, holds the config
-hash (paths left out) and the input digests and names every completed
-stage, so re-runs skip them; a record of another stamp (the config or an
-input file changed) aborts any invocation before it writes, instead of
-mixing results.
+runs the stage that took it over).  A speaker label names its model file,
+`models/<label>.dnn`, so a label with a path separator is an error.  Each
+input file is hashed when an invocation starts and parsed at most once; a
+file that changes between the two is an error.  One resume record,
+`out/stamp`, holds the config hash (paths left out) and the input digests
+and names every completed stage, so re-runs skip them; a record of another
+stamp (the config or an input file changed) aborts any invocation before
+it writes, instead of mixing results.
 
 Configuration is a flat key=value text file; `--override key=value`
 wins over the file, and preset defaults (per task and depth) fill
@@ -226,32 +228,13 @@ def _stage(name: str, artifacts: list[str], record: _Record, fn) -> None:
     record.update(name, done=True)
 
 
-@dataclass(frozen=True)
-class _Paths:
-    out: str
-
-    @property
-    def udbn_norm(self): return os.path.join(self.out, "udbn_norm.dbn")
-    @property
-    def whitener(self): return os.path.join(self.out, "whitener.npz")
-    @property
-    def selected(self): return os.path.join(self.out, "selected_impostors.txt")
-    @property
-    def centroids(self): return os.path.join(self.out, "centroids.txt")
-    @property
-    def models_dir(self): return os.path.join(self.out, "models")
-
-    def model(self, speaker_id: str) -> str:
-        return os.path.join(self.models_dir, f"{speaker_id}.dnn")
-
-    def scores(self, system: str) -> str:
-        return os.path.join(self.out, f"scores_{system}.txt")
-
-    def report(self, system: str) -> str:
-        return os.path.join(self.out, f"report_{system}.txt")
-
-    def det_csv(self, system: str) -> str:
-        return os.path.join(self.out, f"det_{system}.csv")
+# Every file the pipeline writes, as a name relative to `out`; a template's
+# `{}` is a speaker label or a system.  STAGES lists them per stage, and each
+# stage joins them onto `cfg.out`.
+_UDBN, _WHITENER = "udbn_norm.dbn", "whitener.npz"
+_SELECTED, _CENTROIDS = "selected_impostors.txt", "centroids.txt"
+_MODEL = os.path.join("models", "{}.dnn")
+_SCORES, _REPORT, _DET = "scores_{}.txt", "report_{}.txt", "det_{}.csv"
 
 
 def _parsed(name: str):
@@ -302,6 +285,11 @@ class _Inputs:
         groups = self.enroll.by_speaker()
         if not groups:
             raise ValueError("enrollment data has no speaker labels")
+        for label in groups:
+            if os.path.basename(label) != label:
+                raise ValueError(f"speaker label {label!r} in {self.cfg.enroll} has a path "
+                                 f"separator; a label names its model file "
+                                 f"{_MODEL.format('<label>')}")
         return groups
 
 
@@ -331,7 +319,7 @@ def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
     return dnn.FineTuneConfig(learning_rate=cfg.ft_lr, epochs=cfg.ft_epochs)
 
 
-def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+def stage_train_udbn(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     # The whitener is fitted and the config checked against the background before
     # the first stage is recorded, so that the corrected config can resume here.
     whitener = fit_whitener(inputs.background.vectors)
@@ -343,29 +331,30 @@ def stage_train_udbn(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> N
                          f"{min(cfg.impostor_kappa, m)} impostors kept from {m} background vectors")
     model = udbn.train_udbn(inputs.background.vectors, [cfg.hidden_size] * cfg.depth,
                             _rbm_configs(cfg))
-    udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)
-    save_arrays(paths.whitener, "whitener", mean=whitener.mean, transform=whitener.transform)
+    udbn.save_dbn(udbn.normalize_udbn(model), os.path.join(cfg.out, _UDBN))
+    save_arrays(os.path.join(cfg.out, _WHITENER), "whitener",
+                mean=whitener.mean, transform=whitener.transform)
 
 
-def stage_balance(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+def stage_balance(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     """Select the kappa most frequent impostors, then cluster their rows."""
     targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
     freqs = balance.impostor_frequencies(targets, inputs.background.vectors, cfg.impostor_n)
     selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(inputs.background)))
-    with open(paths.selected, "w") as fh:
+    with open(os.path.join(cfg.out, _SELECTED), "w") as fh:
         for idx in selected:
             fh.write(f"{inputs.background.ids[idx]} {freqs[idx]}\n")
     centroids = balance.kmeans_cosine(inputs.background.vectors[selected], cfg.num_centroids,
                                       seed=derive_seed(cfg.master_seed, "kmeans"))
     ids = tuple(f"centroid_{j}" for j in range(len(centroids)))
-    save_embeddings(Dataset(ids, (None,) * len(ids), centroids), paths.centroids)
+    save_embeddings(Dataset(ids, (None,) * len(ids), centroids), os.path.join(cfg.out, _CENTROIDS))
 
 
 def _train_one_speaker(args) -> str:
     """Worker: adapt (optionally) and fine-tune one speaker's DNN.  The
     network is one set of arrays from load to save: adaptation, the DNN
     built on the adapted DBN and fine-tuning all work in place."""
-    cfg, speaker_id, targets, centroids, udbn_path, model_path = args
+    cfg, speaker_id, targets, centroids = args
     try:
         if cfg.task == "single" and targets.shape[0] != 1:
             raise ValueError(f"single task needs exactly 1 enrollment vector per speaker, "
@@ -375,23 +364,21 @@ def _train_one_speaker(args) -> str:
         raise ValueError(f"speaker {speaker_id}: {exc}") from exc
     spk_seed = derive_seed(cfg.master_seed, speaker_id)
     if cfg.init_mode == "dbn":
-        adapted = udbn.adapt_udbn(udbn.load_dbn(udbn_path), plan.batches,
+        adapted = udbn.adapt_udbn(udbn.load_dbn(os.path.join(cfg.out, _UDBN)), plan.batches,
                                   _adapt_configs(cfg, spk_seed))
         model = dnn.init_from_dbn(adapted, seed=derive_seed(spk_seed, "output"))
     else:
         sizes = [targets.shape[1]] + [cfg.hidden_size] * cfg.depth + [2]
         model = dnn.init_random(sizes, seed=spk_seed)
-    dnn.save_dnn(dnn.train_speaker_dnn(model, plan, _fine_tune_config(cfg)), model_path)
+    dnn.save_dnn(dnn.train_speaker_dnn(model, plan, _fine_tune_config(cfg)),
+                 os.path.join(cfg.out, _MODEL.format(speaker_id)))
     return speaker_id
 
 
-def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs, jobs: int) -> None:
-    centroids = load_embeddings(paths.centroids).vectors
-    os.makedirs(paths.models_dir, exist_ok=True)
-    tasks = [
-        (cfg, spk, targets, centroids, paths.udbn_norm, paths.model(spk))
-        for spk, targets in inputs.speakers.items()
-    ]
+def stage_train_speakers(cfg: ExperimentConfig, inputs: _Inputs, jobs: int) -> None:
+    centroids = load_embeddings(os.path.join(cfg.out, _CENTROIDS)).vectors
+    os.makedirs(os.path.join(cfg.out, os.path.dirname(_MODEL)), exist_ok=True)
+    tasks = [(cfg, spk, targets, centroids) for spk, targets in inputs.speakers.items()]
     # A fork-context pool starts all max_workers processes at once.
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -402,26 +389,20 @@ def stage_train_speakers(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs, 
             _train_one_speaker(t)
 
 
-def _model_blocks(trials: evaluation.Trials, enrolled) -> dict[str, slice]:
-    """`trials.by_model()`, checking that every model is among `enrolled`."""
-    unknown = set(trials.models) - set(enrolled)
-    if unknown:
-        raise ValueError(f"trial model {min(unknown)!r} is not an enrolled speaker")
-    return trials.by_model()
-
-
-def stage_score(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
+def stage_score(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     """Score every trial with its speaker's DNN and with the cosine baseline,
     fuse the two, and write each system's scores, report and DET file."""
     test, trials, groups = inputs.test, inputs.trials, inputs.speakers
-    arrays = load_arrays(paths.whitener, "whitener")
+    arrays = load_arrays(os.path.join(cfg.out, _WHITENER), "whitener")
     whitener = Whitener(arrays["mean"], arrays["transform"])
-    blocks = _model_blocks(trials, groups)
+    unknown = set(trials.models) - set(groups)
+    if unknown:
+        raise ValueError(f"trial model {min(unknown)!r} is not an enrolled speaker")
     utts = list(dict.fromkeys(trials.tests))
     prepared = {t: evaluation.baseline_vector(x, whitener) for t, x in zip(utts, test.rows(utts))}
     scores = {"dnn": np.empty(len(trials)), "baseline": np.empty(len(trials))}
-    for model_id, block in blocks.items():
-        model = dnn.load_dnn(paths.model(model_id))
+    for model_id, block in trials.by_model().items():
+        model = dnn.load_dnn(os.path.join(cfg.out, _MODEL.format(model_id)))
         scores["dnn"][block] = dnn.score_llr_batch(model, test.rows(trials.tests[block]))
         centre = evaluation.baseline_vector(groups[model_id], whitener)
         scores["baseline"][block] = [evaluation.score_baseline(centre, prepared[t])
@@ -435,45 +416,43 @@ def stage_score(cfg: ExperimentConfig, paths: _Paths, inputs: _Inputs) -> None:
     scores["fused"] = evaluation.fuse(scores["dnn"], scores["baseline"])
     reports = {system: evaluation.evaluate_trials(s, trials.keys) for system, s in scores.items()}
     for system in _SYSTEMS:
-        evaluation.save_scores(scores[system], trials, paths.scores(system))
-        evaluation.save_report(reports[system], paths.report(system), paths.det_csv(system))
+        scores_file, report, det = (os.path.join(cfg.out, name.format(system))
+                                    for name in (_SCORES, _REPORT, _DET))
+        evaluation.save_scores(scores[system], trials, scores_file)
+        evaluation.save_report(reports[system], report, det)
 
 
-# The pipeline in order, as (name, artifacts(paths, inputs), run(cfg, paths, inputs, jobs)).
-# Each run looks its stage_* function up when called, so a wrapper put on this module runs.
+# The pipeline in order, as (name, artifacts(inputs), run(cfg, inputs, jobs)), where
+# artifacts are names relative to `out`.  Each run looks its stage_* function up
+# when called, so a wrapper put on this module runs.
 STAGES = (
-    ("train-udbn", lambda paths, inputs: [paths.udbn_norm, paths.whitener],
-     lambda cfg, paths, inputs, jobs: stage_train_udbn(cfg, paths, inputs)),
-    ("balance", lambda paths, inputs: [paths.selected, paths.centroids],
-     lambda cfg, paths, inputs, jobs: stage_balance(cfg, paths, inputs)),
-    ("train-speakers", lambda paths, inputs: [paths.model(spk) for spk in inputs.speakers],
-     lambda cfg, paths, inputs, jobs: stage_train_speakers(cfg, paths, inputs, jobs)),
-    ("score", lambda paths, inputs: [*map(paths.scores, _SYSTEMS), *map(paths.report, _SYSTEMS),
-                                     *map(paths.det_csv, _SYSTEMS)],
-     lambda cfg, paths, inputs, jobs: stage_score(cfg, paths, inputs)),
+    ("train-udbn", lambda inputs: [_UDBN, _WHITENER],
+     lambda cfg, inputs, jobs: stage_train_udbn(cfg, inputs)),
+    ("balance", lambda inputs: [_SELECTED, _CENTROIDS],
+     lambda cfg, inputs, jobs: stage_balance(cfg, inputs)),
+    ("train-speakers", lambda inputs: [_MODEL.format(spk) for spk in inputs.speakers],
+     lambda cfg, inputs, jobs: stage_train_speakers(cfg, inputs, jobs)),
+    ("score", lambda inputs: [name.format(s) for name in (_SCORES, _REPORT, _DET)
+                              for s in _SYSTEMS],
+     lambda cfg, inputs, jobs: stage_score(cfg, inputs)),
 )
 # Subcommands of the eight-stage pipeline, each run as the stage that now holds it.
 _ALIASES = {"select-impostors": "balance", "cluster": "balance", "score-baseline": "score",
             "fuse": "score", "evaluate": "score"}
 
 
-def _run_stages(cfg: ExperimentConfig, jobs: int, only: str | None = None) -> _Paths:
+def run_pipeline(cfg: ExperimentConfig, jobs: int = 1, only: str | None = None) -> dict[str, str]:
     """Run every STAGES entry, or only the one named, skipping the ones
-    already completed for this exact config and these inputs."""
-    inputs, paths = _Inputs(cfg), _Paths(cfg.out)
+    already completed for this exact config and these inputs.  Returns the
+    per-system report paths."""
+    inputs = _Inputs(cfg)
     record = _Record(cfg.out, inputs.stamp)
     os.makedirs(cfg.out, exist_ok=True)
     for name, artifacts, run in STAGES:
         if only in (None, name):
-            _stage(name, artifacts(paths, inputs), record, lambda: run(cfg, paths, inputs, jobs))
-    return paths
-
-
-def run_pipeline(cfg: ExperimentConfig, jobs: int = 1) -> dict[str, str]:
-    """Execute all stages, skipping the ones already completed for this
-    exact config and these inputs.  Returns the per-system report paths."""
-    paths = _run_stages(cfg, jobs)
-    return {s: paths.report(s) for s in _SYSTEMS}
+            _stage(name, [os.path.join(cfg.out, a) for a in artifacts(inputs)], record,
+                   lambda: run(cfg, inputs, jobs))
+    return {s: os.path.join(cfg.out, _REPORT.format(s)) for s in _SYSTEMS}
 
 
 def _load_cli_config(args) -> ExperimentConfig:
@@ -540,7 +519,7 @@ def main(argv=None) -> int:
                     print(f"{system}: {fh.readline().strip()}")
             return 0
 
-        _run_stages(cfg, args.jobs, only=_ALIASES.get(args.command, args.command))
+        run_pipeline(cfg, args.jobs, only=_ALIASES.get(args.command, args.command))
         return 0
     except PipelineError as exc:
         print(f"spkdbn: {exc}", file=sys.stderr)

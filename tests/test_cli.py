@@ -1039,6 +1039,27 @@ def test_speakers_with_identical_enrollment_get_different_models(tmp_path):
     assert _file_hash(models / f"{a}.dnn") != _file_hash(models / f"{b}.dnn")
 
 
+@pytest.mark.parametrize("label", ["../escaped", "a/b", "{tmp_path}/abs/x"])
+def test_a_speaker_label_with_a_path_separator_is_rejected(tmp_path, capsys, label):
+    # A label names its model file, models/<label>.dnn: one with a separator
+    # would write the model into another directory, or outside out/.
+    label = label.format(tmp_path=tmp_path)
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    enroll = load_embeddings(pairs["enroll"])
+    old = enroll.speakers[0]
+    speakers = tuple(label if s == old else s for s in enroll.speakers)
+    save_embeddings(Dataset(enroll.ids, speakers, enroll.vectors), pairs["enroll"])
+    trials = Path(pairs["trials"])
+    lines = trials.read_text().splitlines(keepends=True)
+    trials.write_text("".join(label + line[len(old):] if line.split()[0] == old else line
+                              for line in lines))
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    err = capsys.readouterr().err
+    assert repr(label) in err and pairs["enroll"] in err, err
+    models = Path(pairs["out"]) / "models"
+    assert [p for p in tmp_path.rglob("*.dnn") if models not in p.parents] == []
+
+
 def test_training_a_speaker_holds_one_network_and_one_momentum_state(tmp_path):
     # A 100-512-512-2 network is 315,394 float64 weights and biases,
     # 2,523,152 bytes.  Its momentum state holds as many again in dW and db,
@@ -1049,11 +1070,12 @@ def test_training_a_speaker_holds_one_network_and_one_momentum_state(tmp_path):
     rng = np.random.default_rng(0)
     layers = [RbmParams(kind, rng.uniform(-0.01, 0.01, size=(n, 512)), np.zeros(n), np.zeros(512))
               for kind, n in (("gaussian", 100), ("bernoulli", 512))]
-    save_dbn(DbnParams(layers, normalized=True), tmp_path / "udbn_norm")
-    cfg = ExperimentConfig(task="single", depth=2, init_mode="dbn", adapt_layers=2,
-                           adapt_lr=(0.001, 0.0001), adapt_epochs=(1, 1), ft_epochs=2)
-    task = (cfg, "spk", rng.normal(size=(1, 100)), rng.normal(size=(12, 100)),
-            str(tmp_path / "udbn_norm"), str(tmp_path / "spk.dnn"))
+    save_dbn(DbnParams(layers, normalized=True), tmp_path / "udbn_norm.dbn")
+    (tmp_path / "models").mkdir()
+    cfg = ExperimentConfig(out=str(tmp_path), task="single", depth=2, init_mode="dbn",
+                           adapt_layers=2, adapt_lr=(0.001, 0.0001), adapt_epochs=(1, 1),
+                           ft_epochs=2)
+    task = (cfg, "spk", rng.normal(size=(1, 100)), rng.normal(size=(12, 100)))
     tracemalloc.start()
     try:
         cli._train_one_speaker(task)

@@ -59,8 +59,8 @@ MUTANTS = {
     "cd1-gradient-sign": (
         "rbm", "return np.divide(gW, m, out=gW)", "return np.divide(gW, -m, out=gW)"),
     "unnormalized-udbn-write": (
-        "cli", "udbn.save_dbn(udbn.normalize_udbn(model), paths.udbn_norm)",
-        "udbn.save_dbn(udbn.DbnParams(model.layers, True), paths.udbn_norm)"),
+        "cli", "udbn.save_dbn(udbn.normalize_udbn(model),",
+        "udbn.save_dbn(udbn.DbnParams(model.layers, True),"),
     "adapt-no-op": (
         "udbn", "_cd1_epochs(dbn.layers[k], inputs",
         '_cd1_epochs(__import__("copy").deepcopy(dbn.layers[k]), inputs'),
@@ -113,7 +113,8 @@ MUTANTS = {
     "non-finite-score-fused": ("cli", "        if bad.size:", "        if False:"),
     "trial-duplicates-unchecked": ("evaluation", "if pair in key_of:", "if False:"),
     "forward-bias-dropped": ("dnn", "a += b", "pass"),
-    "score-enrolled-set-unchecked": ("cli", "_model_blocks(trials, groups)", "trials.by_model()"),
+    "score-enrolled-set-unchecked": (
+        "cli", "unknown = set(trials.models) - set(groups)", "unknown = set()"),
     "baseline-whitener-refitted": (
         "cli", 'Whitener(arrays["mean"], arrays["transform"])',
         "fit_whitener(inputs.background.vectors)"),
@@ -122,6 +123,7 @@ MUTANTS = {
     # config reading and resume
     "config-inline-comment-accepted": ("cli", 'if re.search(r"\\s#", value):', "if False:"),
     "stamp-mismatch-skipped": ("cli", "if recorded != self.stamp:", "if False:"),
+    "speaker-label-unchecked": ("cli", "if os.path.basename(label) != label:", "if False:"),
     "rerun-stage-kept-in-record": ("cli", "record.update(name, done=False)", "pass"),
 }
 
