@@ -398,8 +398,13 @@ def stage_score(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     unknown = set(trials.models) - set(groups)
     if unknown:
         raise ValueError(f"trial model {min(unknown)!r} is not an enrolled speaker")
-    utts = list(dict.fromkeys(trials.tests))
-    prepared = {t: evaluation.baseline_vector(x, whitener) for t, x in zip(utts, test.rows(utts))}
+    utts, prepared = list(dict.fromkeys(trials.tests)), {}
+    with np.errstate(over="ignore", invalid="ignore"):   # length_normalize rejects the result
+        for t, x in zip(utts, test.rows(utts)):
+            try:
+                prepared[t] = evaluation.baseline_vector(x, whitener)
+            except ValueError as exc:
+                raise ValueError(f"test utterance {t!r} in {cfg.test}: {exc}") from None
     scores = {"dnn": np.empty(len(trials)), "baseline": np.empty(len(trials))}
     for model_id, block in trials.by_model().items():
         model = dnn.load_dnn(os.path.join(cfg.out, _MODEL.format(model_id)))

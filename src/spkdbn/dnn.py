@@ -119,7 +119,7 @@ def backprop_minibatch(
     Updates model and velocity in place, one `Momentum.descend` per
     layer from the top, and returns the pre-update loss.  Each block of a
     weight gradient goes into `velocity`'s buffers, so a step allocates
-    no weight-sized array.
+    no weight-sized array.  Checks nothing; `train_speaker_dnn` checks each epoch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -137,24 +137,25 @@ def backprop_minibatch(
         a, d, gb = layer_inputs[i], delta, delta.sum(axis=0)
         if i > 0:
             delta = (d @ model.weights[i].T) * a * (1.0 - a)
-        if not velocity[i].descend(model.weights[i], (model.biases[i],), (gb,), cfg,
-                                   lambda rows, out: np.matmul(a[:, rows].T, d, out=out)):
-            raise NumericalError("non-finite DNN parameters after update")
-    if not np.isfinite(loss):
-        raise NumericalError("non-finite training loss")
+        velocity[i].descend(model.weights[i], (model.biases[i],), (gb,), cfg,
+                            lambda rows, out: np.matmul(a[:, rows].T, d, out=out))
     return loss
 
 
 def train_speaker_dnn(model: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) -> DnnModel:
     """Fine-tune `model` in place over the balanced plan's minibatches, in
     order, for cfg.epochs passes, and return it; a caller that needs the
-    initial parameters afterwards passes a copy (`copy.deepcopy`)."""
+    initial parameters afterwards passes a copy (`copy.deepcopy`).  Each
+    epoch's steps run with numpy's warnings off, then a non-finite sum of
+    their losses, weight or bias raises NumericalError naming the epoch."""
     if len(plan.batches) == 0:
         raise ValueError("empty minibatch plan")
     velocity = DnnVelocity.zeros_like(model)
-    for _ in range(cfg.epochs):
-        for X in plan.batches:
-            backprop_minibatch(model, X, plan.labels, cfg, velocity)
+    for epoch in range(cfg.epochs):
+        with np.errstate(all="ignore"):
+            loss = sum(backprop_minibatch(model, X, plan.labels, cfg, velocity) for X in plan.batches)
+        if not all(np.isfinite(p).all() for p in (loss, *model.weights, *model.biases)):
+            raise NumericalError(f"non-finite DNN loss or parameters after update (epoch {epoch})")
     return model
 
 

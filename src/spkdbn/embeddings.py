@@ -250,11 +250,11 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 
 
 def length_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm."""
+    """Scale a vector to unit Euclidean norm, which must be finite and non-zero."""
     v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot length-normalize the zero vector")
+    if not 0.0 < n < np.inf:
+        raise ValueError(f"cannot length-normalize a vector of norm {n}")
     return v / n
 
 

@@ -75,7 +75,7 @@ class Momentum:
         if not 0 <= cfg.weight_decay < math.inf:
             raise ValueError(f"weight_decay must be finite and >= 0, got {cfg.weight_decay}")
 
-    def descend(self, W: np.ndarray, biases, grads_b, cfg, grad) -> bool:
+    def descend(self, W: np.ndarray, biases, grads_b, cfg, grad) -> None:
         """One momentum SGD step on the loss whose gradient is (gW,
         grads_b), with weight decay on W only.  Updates W, the biases and
         the buffers in place, rounding exactly as the expressions
@@ -87,9 +87,8 @@ class Momentum:
         W is stepped in blocks of the rows of `gW`: `grad(rows, out)`
         writes the weight gradient of W[rows] into out and returns it, and
         the step is applied to that block while it is in cache.
-        Returns whether every updated parameter is finite.
+        Checks nothing: a non-finite parameter stays so, and each epoch loop checks.
         """
-        finite = True
         for start in range(0, W.shape[0], self.gW.shape[0]):
             rows = slice(start, start + self.gW.shape[0])
             Wb, dW = W[rows], self.dW[rows]
@@ -100,12 +99,10 @@ class Momentum:
             dW *= cfg.momentum
             dW -= step
             Wb += dW
-            finite = finite and bool(np.isfinite(Wb).all())
         for b, db, gb in zip(biases, self.db, grads_b):
             db *= cfg.momentum
             db -= cfg.learning_rate * gb
             b += db
-        return finite and all(np.isfinite(b).all() for b in biases)
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,6 @@ def cd1_step(
     cfg: RbmTrainConfig,
     velocity: RbmVelocity,
     rng: np.random.Generator,
-    epoch: int = 0,
 ) -> float:
     """One CD-1 parameter update on a minibatch, in place; returns the
     minibatch's mean squared reconstruction error.
@@ -212,7 +208,7 @@ def cd1_step(
     mean(v_rec - v), gb_hid = mean(ph_rec - ph_data); IEEE negation and
     rounding are symmetric, so this is bit for bit the ascent step on
     (data - reconstruction) statistics.  No weight- or minibatch-sized
-    array is allocated.
+    array is allocated, and no parameter is checked (`_cd1_epochs` does).
     """
     v = np.atleast_2d(np.asarray(minibatch, dtype=float))
     if v.shape[0] == 0:
@@ -234,8 +230,7 @@ def cd1_step(
 
     gbv = np.subtract(v_rec, v, out=v_err).mean(axis=0)
     gbh = np.subtract(ph_rec, ph_data, out=h).mean(axis=0)  # h is spent
-    if not velocity.descend(rbm.W, (rbm.b_vis, rbm.b_hid), (gbv, gbh), cfg, grad):
-        raise NumericalError(f"non-finite RBM parameters after update (epoch {epoch})")
+    velocity.descend(rbm.W, (rbm.b_vis, rbm.b_hid), (gbv, gbh), cfg, grad)
     return float(np.square(v_err, out=v_err).sum(axis=1).mean())
 
 
@@ -259,13 +254,16 @@ def _cd1_epochs(rbm: RbmParams, batches, cfg: RbmTrainConfig,
                 rng: np.random.Generator) -> list[float]:
     """cfg.epochs passes of `cd1_step` over the batches in order, in place,
     from zero momentum.  Returns the mean squared reconstruction error of
-    each epoch."""
+    each epoch.  Each epoch's steps run with numpy's warnings off, then a
+    non-finite W, b_vis or b_hid raises NumericalError naming the epoch."""
     velocity = RbmVelocity.zeros_like(rbm)
     n = sum(batch.shape[0] for batch in batches)
     errors = []
     for epoch in range(cfg.epochs):
-        err_sum = 0.0
-        for batch in batches:
-            err_sum += cd1_step(rbm, batch, cfg, velocity, rng, epoch=epoch) * batch.shape[0]
+        with np.errstate(all="ignore"):
+            err_sum = sum(cd1_step(rbm, batch, cfg, velocity, rng) * batch.shape[0]
+                          for batch in batches)
+        if not all(np.isfinite(p).all() for p in (rbm.W, rbm.b_vis, rbm.b_hid)):
+            raise NumericalError(f"non-finite RBM parameters after update (epoch {epoch})")
         errors.append(err_sum / n)
     return errors

@@ -637,6 +637,26 @@ def test_cli_score_rejects_a_nan_score_before_writing_anything(tmp_path, capsys,
     assert main(["score", "--config", cfg_file]) == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_score_names_a_test_utterance_it_cannot_normalize(tmp_path, capsys):
+    # the whitened vector's norm overflows, and dividing by inf would turn
+    # it into zeros that no cosine can be taken of
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    lines = Path(pairs["test"]).read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    fields = lines[first].split()
+    assert fields[0] == "spk0000_sess001"
+    lines[first] = " ".join(fields[:2] + ["1e200"] + fields[3:]) + "\n"
+    Path(pairs["test"]).write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage score: test utterance 'spk0000_sess001' in {pairs['test']}: "
+        "cannot length-normalize a vector of norm inf\n")
+    assert not [p.name for p in (tmp_path / "exp" / "out").iterdir()
+                if p.name.startswith(("scores_", "report_", "det_"))]
+
+
 @pytest.fixture(scope="module")
 def trained_experiment(tmp_path_factory):
     """(pairs, config file, trials) of a 4-speaker experiment whose first three
@@ -789,17 +809,21 @@ def test_cli_repeated_trial_pair_is_reported(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_cli_trial_order_does_not_change_the_outputs(tmp_path):
+@pytest.mark.parametrize("name", ["trials", "enroll", "test"])
+def test_cli_input_row_order_does_not_change_the_outputs(tmp_path, name):
+    # only the background's row order fixes the UDBN, the impostors and the models
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
-    with open(pairs["trials"]) as fh:
-        lines = fh.readlines()
-    shuffled = tmp_path / "shuffled_trials.txt"
-    shuffled.write_text("".join(lines[i] for i in np.random.default_rng(0).permutation(len(lines))))
+    lines = Path(pairs[name]).read_text().splitlines(keepends=True)
+    header = [line for line in lines if line.startswith("#")]
+    rows = [line for line in lines if not line.startswith("#")]
+    shuffled = tmp_path / f"shuffled_{name}.txt"
+    order = np.random.default_rng(0).permutation(len(rows))
+    shuffled.write_text("".join(header + [rows[i] for i in order]))
     run_pipeline(resolve_config(pairs))
-    run_pipeline(resolve_config(pairs | {"trials": str(shuffled), "out": str(tmp_path / "out")}))
-    for system in ("dnn", "baseline", "fused"):
-        for name in (f"scores_{system}.txt", f"report_{system}.txt", f"det_{system}.csv"):
-            assert _file_hash(tmp_path / "out" / name) == _file_hash(pairs["out"] + "/" + name)
+    run_pipeline(resolve_config(pairs | {name: str(shuffled), "out": str(tmp_path / "out")}))
+    want, got = ({path: h for path, h in _tree_hashes(root).items() if path != "stamp"}
+                 for root in (Path(pairs["out"]), tmp_path / "out"))
+    assert len(want) == 17 and got == want
 
 
 INPUTS = ("background", "enroll", "test", "trials")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import forward_oracle, mean_cross_entropy_oracle
-from spkdbn.balance import build_minibatch_plan
+from spkdbn import dnn as dnn_module
+from spkdbn.balance import MinibatchPlan, build_minibatch_plan
 from spkdbn.embeddings import ParseError
 from spkdbn.dnn import (
     DnnModel,
@@ -24,6 +25,9 @@ from spkdbn.dnn import (
 )
 from spkdbn.rbm import NumericalError, RbmParams
 from spkdbn.udbn import DbnParams, save_dbn
+
+
+NON_FINITE_DNN = "non-finite DNN loss or parameters after update"
 
 
 def sigmoid(x):
@@ -390,17 +394,22 @@ def test_backprop_two_steps_match_exact_oracle(sizes):
         assert loss == expected_loss
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _one_batch_plan(labels):
+    """One minibatch of all-ones 3-dimensional rows, one per label row."""
+    labels = np.array(labels, dtype=float)
+    return MinibatchPlan(np.ones((1, len(labels), 3)), labels)
+
+
+@pytest.mark.filterwarnings("error")
 def test_backprop_divergence_raises():
     m = _random_model([3, 4, 2], seed=7)
     m.weights[0][:] = 1e300
     cfg = FineTuneConfig(learning_rate=1e300, epochs=1, momentum=0.0, weight_decay=1.0)
-    with pytest.raises(NumericalError, match="non-finite DNN parameters"):
-        backprop_minibatch(m, np.ones((2, 3)), np.array([[1.0, 0.0], [0.0, 1.0]]), cfg,
-                           DnnVelocity.zeros_like(m))
+    with pytest.raises(NumericalError, match=re.escape(NON_FINITE_DNN + " (epoch 0)")):
+        train_speaker_dnn(m, _one_batch_plan([[1, 0], [0, 1]]), cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_backprop_bias_overflow_raises_while_the_weights_stay_finite():
     # hidden units off (a = 0): every weight gradient is exactly 0, the
     # tied output logits give a finite loss, and only the output bias moves
@@ -409,11 +418,52 @@ def test_backprop_bias_overflow_raises_while_the_weights_stay_finite():
     m.biases[1][:] = 1.7e308
     weights = [W.copy() for W in m.weights]
     cfg = FineTuneConfig(learning_rate=1e308, epochs=1, momentum=0.0, weight_decay=0.0)
-    with pytest.raises(NumericalError, match="non-finite DNN parameters"):
-        backprop_minibatch(m, np.ones((2, 3)), np.array([[1.0, 0.0], [1.0, 0.0]]), cfg,
-                           DnnVelocity.zeros_like(m))
+    with pytest.raises(NumericalError, match=re.escape(NON_FINITE_DNN + " (epoch 0)")):
+        train_speaker_dnn(m, _one_batch_plan([[1, 0], [1, 0]]), cfg)
     assert all(np.array_equal(a, b) for a, b in zip(m.weights, weights))
     assert not np.all(np.isfinite(m.biases[1]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_loss_raises_while_every_parameter_stays_finite():
+    # hidden units off (a = 0) and output logits 1e308 and -1e308: their
+    # difference overflows, so each row's log-probability of the second
+    # class is -inf and the loss is not finite, yet every step is finite
+    m = _random_model([3, 4, 2], seed=7)
+    m.weights[0][:] = 0.0
+    m.biases[0][:] = -1e4
+    m.biases[1][:] = [1e308, -1e308]
+    cfg = FineTuneConfig(learning_rate=0.1, epochs=1)
+    with pytest.raises(NumericalError, match=re.escape(NON_FINITE_DNN + " (epoch 0)")):
+        train_speaker_dnn(m, _one_batch_plan([[1, 0], [0, 1]]), cfg)
+    assert all(np.isfinite(p).all() for p in m.weights + m.biases)
+
+
+# The first layer, 300x512, is stepped in four row blocks of 64 and a
+# partial one of 44, so row 299 lies in the partial block.  An infinite
+# weight or hidden bias saturates its unit to 0 or 1, so the loss and every
+# other parameter stay finite; minibatch 1 is the epoch's last, so no later
+# loss of that epoch can see the weight the step turns into NaN.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, index", [("weights", (0, 7)), ("weights", (299, 7)),
+                                         ("biases", 7)],
+                         ids=["weight-row-0", "weight-last-row", "hidden-bias"])
+def test_fine_tuning_names_the_epoch_a_parameter_goes_non_finite(monkeypatch, name, index):
+    rng = np.random.default_rng(0)
+    plan = MinibatchPlan(rng.normal(size=(2, 4, 300)), np.repeat(np.eye(2), 2, axis=0))
+    steps = []
+
+    def step(model, *args):
+        if len(steps) == 2 * len(plan.batches) + 1:   # epoch 2, minibatch 1
+            getattr(model, name)[0][index] = np.inf
+        steps.append(None)
+        return backprop_minibatch(model, *args)
+
+    monkeypatch.setattr(dnn_module, "backprop_minibatch", step)
+    cfg = FineTuneConfig(learning_rate=0.01, epochs=4)
+    with pytest.raises(NumericalError, match=re.escape(NON_FINITE_DNN + " (epoch 2)")):
+        train_speaker_dnn(init_random([300, 512, 2], seed=0), plan, cfg)
+    assert len(steps) == 3 * len(plan.batches)
 
 
 def test_backprop_step_allocates_no_weight_sized_array():

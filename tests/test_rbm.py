@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spkdbn import rbm as rbm_module
 from spkdbn.dnn import FineTuneConfig
 from spkdbn.rbm import (
     Momentum,
@@ -14,6 +15,7 @@ from spkdbn.rbm import (
     RbmParams,
     RbmTrainConfig,
     RbmVelocity,
+    _cd1_epochs,
     _reconstruct_visible,
     _sample_bernoulli,
     _sigmoid,
@@ -199,25 +201,49 @@ def test_cd1_dimension_mismatch():
                  np.random.default_rng(0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cd1_divergence_raises():
     rbm = init_rbm(2, 2, "gaussian", seed=0)
     rbm.W[:] = 1e300
-    with pytest.raises(NumericalError):
-        cd1_step(rbm, np.full((2, 2), 1e300), _cfg(learning_rate=1e300),
-                 RbmVelocity.zeros_like(rbm), np.random.default_rng(0))
+    with pytest.raises(NumericalError, match=re.escape("parameters after update (epoch 0)")):
+        _cd1_epochs(rbm, [np.full((2, 2), 1e300)], _cfg(learning_rate=1e300),
+                    np.random.default_rng(0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cd1_bias_overflow_raises_while_the_weights_stay_finite():
     # hidden units off (p = 0, h = 0) and W = 0: the weight gradient is
     # exactly 0 and only the visible bias moves, by lr * mean(v - b_vis)
     rbm = RbmParams("gaussian", np.zeros((2, 2)), np.zeros(2), np.full(2, -1e4))
-    with pytest.raises(NumericalError):
-        cd1_step(rbm, np.full((2, 2), 1e300), _cfg(learning_rate=1e300),
-                 RbmVelocity.zeros_like(rbm), np.random.default_rng(0))
+    with pytest.raises(NumericalError, match=re.escape("parameters after update (epoch 0)")):
+        _cd1_epochs(rbm, [np.full((2, 2), 1e300)], _cfg(learning_rate=1e300),
+                    np.random.default_rng(0))
     assert np.all(rbm.W == 0.0)
     assert not np.all(np.isfinite(rbm.b_vis))
+
+
+# A 300x512 layer is stepped in four row blocks of 64 and a partial one of
+# 44, so row 299 lies in the partial block.  An infinite hidden bias leaves
+# every hidden probability finite (0 or 1), so it stays the only bad value.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, index", [("W", (0, 7)), ("W", (299, 7)), ("b_hid", 7)],
+                         ids=["weight-row-0", "weight-last-row", "hidden-bias"])
+def test_cd1_epochs_name_the_epoch_a_parameter_goes_non_finite(monkeypatch, name, index):
+    rng = np.random.default_rng(0)
+    batches = [rng.normal(size=(4, 300)) for _ in range(3)]
+    steps = []
+
+    def step(layer, *args):
+        if len(steps) == 2 * len(batches) + 1:   # epoch 2, minibatch 1
+            getattr(layer, name)[index] = np.inf
+        steps.append(None)
+        return cd1_step(layer, *args)
+
+    monkeypatch.setattr(rbm_module, "cd1_step", step)
+    rbm = init_rbm(300, 512, "gaussian", seed=0)
+    with pytest.raises(NumericalError, match=re.escape("parameters after update (epoch 2)")):
+        _cd1_epochs(rbm, batches, _cfg(learning_rate=0.01, epochs=4), np.random.default_rng(1))
+    assert len(steps) == 3 * len(batches)
 
 
 def _bimodal(seed, n=60):
@@ -325,8 +351,9 @@ def test_cd1_step_allocates_no_weight_or_minibatch_sized_array(n_visible, kind, 
 
 
 @pytest.mark.parametrize("bad_row", [None, 0, 150, 299])
-def test_descend_reports_a_non_finite_weight_in_any_row_block(bad_row):
-    # 300 rows of 512 are stepped in four blocks of 64 rows and one of 44
+def test_descend_steps_every_row_block(bad_row):
+    # 300 rows of 512 are stepped in four blocks of 64 rows and one of 44,
+    # each whatever another block holds
     W, b = np.zeros((300, 512)), np.zeros(2)
     gW = np.random.default_rng(0).normal(size=W.shape)
     if bad_row is not None:
@@ -338,7 +365,7 @@ def test_descend_reports_a_non_finite_weight_in_any_row_block(bad_row):
         out[:] = gW[rows]
         return out
 
-    assert momentum.descend(W, (b,), (np.ones(2),), cfg, grad) is (bad_row is None)
+    momentum.descend(W, (b,), (np.ones(2),), cfg, grad)
     np.testing.assert_array_equal(W, -gW)
     np.testing.assert_array_equal(b, -np.ones(2))
 

@@ -74,7 +74,7 @@ MUTANTS = {
         "cli", "derive_seed(cfg.master_seed, speaker_id)", 'derive_seed(cfg.master_seed, "speaker")'),
     # fine-tuning
     "fine-tune-batches-reversed": (
-        "dnn", "for X in plan.batches:", "for X in plan.batches[::-1]:"),
+        "dnn", "for X in plan.batches)", "for X in plan.batches[::-1])"),
     # the per-speaker network is one set of arrays: a second copy changes
     # no output byte, only the worker's peak memory
     "speaker-network-copied": (
@@ -84,16 +84,19 @@ MUTANTS = {
     "decay-sign": (
         "rbm", "np.multiply(Wb, cfg.weight_decay,", "np.multiply(Wb, -cfg.weight_decay,"),
     "momentum-sign": ("rbm", "dW *= cfg.momentum", "dW *= -cfg.momentum"),
-    "no-bias-finite-check": (
-        "rbm", " and all(np.isfinite(b).all() for b in biases)", ""),
     "last-partial-block-skipped": (
         "rbm", "range(0, W.shape[0], self.gW.shape[0])",
         "range(0, W.shape[0] // self.gW.shape[0] * self.gW.shape[0], self.gW.shape[0])"),
+    # the finiteness checks after each epoch of CD-1 and of fine-tuning
+    "no-bias-finite-check": (
+        "rbm", "for p in (rbm.W, rbm.b_vis, rbm.b_hid)", "for p in (rbm.W,)"),
     "finite-check-first-block-only": (
-        "rbm", "finite = finite and bool(np.isfinite(Wb).all())",
-        "finite = finite and (start > 0 or bool(np.isfinite(Wb).all()))"),
+        "dnn", "np.isfinite(p).all() for p in (loss,",
+        "np.isfinite(np.atleast_1d(p)[:64]).all() for p in (loss,"),
+    "non-finite-loss-unchecked": ("dnn", "for p in (loss, *model.weights", "for p in (*model.weights"),
     # scoring, fusion and evaluation
     "baseline-unwhitened": ("embeddings", "return w.transform @ (v - w.mean)", "return v"),
+    "overflowing-norm-unchecked": ("embeddings", "if not 0.0 < n < np.inf:", "if n == 0.0:"),
     "baseline-average-before-whitening": (
         "evaluation", "np.mean([apply_whitener(whitener, v) for v in vectors], axis=0)",
         "apply_whitener(whitener, np.mean(vectors, axis=0))"),
