@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 def _unit_rows(X: np.ndarray, what: str) -> np.ndarray:
     norms = np.linalg.norm(X, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError(f"zero vector among {what}")
+    if not np.all((0.0 < norms) & (norms < np.inf)):
+        raise ValueError(f"zero or overflowing norm among {what}")
     return X / norms[:, None]
 
 

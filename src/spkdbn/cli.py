@@ -319,9 +319,22 @@ def _fine_tune_config(cfg: ExperimentConfig) -> dnn.FineTuneConfig:
     return dnn.FineTuneConfig(learning_rate=cfg.ft_lr, epochs=cfg.ft_epochs)
 
 
+def _check_norms(vectors, names, what: str, path: str) -> None:
+    """Reject the first row whose Euclidean norm is zero or overflows, as
+    `<what> <name> in <path>`; the overflow raises no RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
+    bad = np.flatnonzero(~((0.0 < norms) & (norms < np.inf)))
+    if bad.size:
+        raise ValueError(f"{what} {names[bad[0]]!r} in {path}: norm {norms[bad[0]]} "
+                         "is zero or overflows")
+
+
 def stage_train_udbn(cfg: ExperimentConfig, inputs: _Inputs) -> None:
-    # The whitener is fitted and the config checked against the background before
-    # the first stage is recorded, so that the corrected config can resume here.
+    # The background, the whitener and the config are checked before the first
+    # stage is recorded, so that a corrected config or input can resume here.
+    _check_norms(inputs.background.vectors, inputs.background.ids, "background utterance",
+                 cfg.background)
     whitener = fit_whitener(inputs.background.vectors)
     m = len(inputs.background)
     if cfg.impostor_n > m:
@@ -337,8 +350,10 @@ def stage_train_udbn(cfg: ExperimentConfig, inputs: _Inputs) -> None:
 
 
 def stage_balance(cfg: ExperimentConfig, inputs: _Inputs) -> None:
-    """Select the kappa most frequent impostors, then cluster their rows."""
+    """Select the kappa most frequent impostors, then cluster their rows.
+    A speaker's target, the mean of its sessions, needs a finite non-zero norm."""
     targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
+    _check_norms(targets, list(inputs.speakers), "speaker", cfg.enroll)
     freqs = balance.impostor_frequencies(targets, inputs.background.vectors, cfg.impostor_n)
     selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(inputs.background)))
     with open(os.path.join(cfg.out, _SELECTED), "w") as fh:

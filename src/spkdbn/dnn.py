@@ -92,12 +92,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward_full(model: DnnModel, X: np.ndarray):
-    """Returns (hidden activations per layer, output pre-activations)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != model.input_dim:
-        raise ValueError(f"input dimension {X.shape[1]} != {model.input_dim}")
-    acts = []
-    a = X
+    """Returns (hidden activations per layer, output pre-activations) of an
+    (n, input_dim) float64 array, which the caller has checked."""
+    acts, a = [], X
     for W, b in zip(model.weights[:-1], model.biases[:-1]):
         a = a @ W  # then in place: one activation array per layer
         a += b
@@ -119,12 +116,9 @@ def backprop_minibatch(
     Updates model and velocity in place, one `Momentum.descend` per
     layer from the top, and returns the pre-update loss.  Each block of a
     weight gradient goes into `velocity`'s buffers, so a step allocates
-    no weight-sized array.  Checks nothing; `train_speaker_dnn` checks each epoch.
+    no weight-sized array.  Checks nothing: `train_speaker_dnn` checks that X
+    is (m, input_dim) and Y its (m, 2) labels, and the parameters each epoch.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[0] != Y.shape[0] or Y.shape[1] != 2:
-        raise ValueError("labels must be one-hot rows matching the minibatch")
     m = X.shape[0]
     acts, z = _forward_full(model, X)
     logp = z - z.max(axis=1, keepdims=True)
@@ -145,11 +139,14 @@ def backprop_minibatch(
 def train_speaker_dnn(model: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig) -> DnnModel:
     """Fine-tune `model` in place over the balanced plan's minibatches, in
     order, for cfg.epochs passes, and return it; a caller that needs the
-    initial parameters afterwards passes a copy (`copy.deepcopy`).  Each
-    epoch's steps run with numpy's warnings off, then a non-finite sum of
-    their losses, weight or bias raises NumericalError naming the epoch."""
-    if len(plan.batches) == 0:
-        raise ValueError("empty minibatch plan")
+    initial parameters afterwards passes a copy (`copy.deepcopy`).  The plan
+    is checked once: K >= 1 minibatches of (m, input_dim), and (m, 2) labels.
+    Each epoch's steps run with numpy's warnings off, then a non-finite sum
+    of their losses, weight or bias raises NumericalError naming the epoch."""
+    K, m, width = plan.batches.shape
+    if K == 0 or plan.labels.shape != (m, 2) or width != model.input_dim:
+        raise ValueError(f"plan of {K} ({m}, {width}) minibatches and {plan.labels.shape} "
+                         f"labels does not fit a model of input dimension {model.input_dim}")
     velocity = DnnVelocity.zeros_like(model)
     for epoch in range(cfg.epochs):
         with np.errstate(all="ignore"):
@@ -160,7 +157,11 @@ def train_speaker_dnn(model: DnnModel, plan: MinibatchPlan, cfg: FineTuneConfig)
 
 
 def score_llr_batch(model: DnnModel, X: np.ndarray) -> np.ndarray:
-    """log(o1) - log(o2) per row of X; for a softmax this is exactly z1 - z2."""
+    """log(o1) - log(o2) per row of X, vectors from outside whose width is
+    checked here; for a softmax this is exactly z1 - z2."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != model.input_dim:
+        raise ValueError(f"input dimension {X.shape[1]} != {model.input_dim}")
     _, z = _forward_full(model, X)
     return z[:, 0] - z[:, 1]
 

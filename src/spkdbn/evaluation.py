@@ -74,16 +74,11 @@ def baseline_vector(vectors, whitener: Whitener) -> np.ndarray:
 
 def score_baseline(model: np.ndarray, test: np.ndarray) -> float:
     """Cosine similarity a.b / (|a||b|) of two `baseline_vector`s, a model's
-    and a test's."""
-    a = np.asarray(model, dtype=float)
-    b = np.asarray(test, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    ra, rb = a.ravel(order="K"), b.ravel(order="K")  # np.linalg.norm's sum, without its overhead
-    na, nb = math.sqrt(ra.dot(ra)), math.sqrt(rb.dot(rb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for the zero vector")
-    return float(a @ b / (na * nb))
+    and a test's.  Checks nothing: both are float64 vectors of one length
+    whose norms `length_normalize` made finite and non-zero."""
+    ra, rb = model.ravel(order="K"), test.ravel(order="K")
+    na, nb = math.sqrt(ra.dot(ra)), math.sqrt(rb.dot(rb))  # np.linalg.norm's, without its overhead
+    return float(model @ test / (na * nb))
 
 
 def mean_var_normalize(scores) -> np.ndarray:

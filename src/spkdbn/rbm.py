@@ -200,22 +200,18 @@ def cd1_step(
     velocity: RbmVelocity,
     rng: np.random.Generator,
 ) -> float:
-    """One CD-1 parameter update on a minibatch, in place; returns the
-    minibatch's mean squared reconstruction error.
+    """One CD-1 parameter update, in place, on a non-empty (m, n_visible)
+    float64 minibatch; returns its mean squared reconstruction error.
 
     `velocity.descend` (see `Momentum.descend`) steps on the negated CD-1
     gradient gW = (v_rec.T @ ph_rec - v.T @ ph_data) / m, gb_vis =
     mean(v_rec - v), gb_hid = mean(ph_rec - ph_data); IEEE negation and
     rounding are symmetric, so this is bit for bit the ascent step on
     (data - reconstruction) statistics.  No weight- or minibatch-sized
-    array is allocated, and no parameter is checked (`_cd1_epochs` does).
+    array is allocated, and nothing is checked (`train_rbm`, `adapt_udbn`
+    and `_cd1_epochs` do).
     """
-    v = np.atleast_2d(np.asarray(minibatch, dtype=float))
-    if v.shape[0] == 0:
-        raise ValueError("empty minibatch")
-    if v.shape[1] != rbm.n_visible:
-        raise ValueError(f"visible dimension {v.shape[1]} != {rbm.n_visible}")
-    m = v.shape[0]
+    v, m = minibatch, minibatch.shape[0]
     ph_data, h, v_rec, ph_rec, v_err = velocity._minibatch_buffers(m)
 
     _hidden_probs(rbm, v, ph_data)

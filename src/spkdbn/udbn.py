@@ -5,10 +5,10 @@ background embeddings (Gaussian visible units at the bottom, Bernoulli
 above).  Its parameters are normalized into the random-init dynamic
 range and then lightly re-trained (adapted) on each speaker's balanced
 data to give speaker-specific network initializations.  Adaptation runs
-the same CD-1 epoch loop as pretraining (`rbm._cd1_epochs`), from the
-normalized parameters and on the speaker's minibatches, in place: it
-consumes the DBN it is given, so a caller that needs the normalized
-parameters afterwards adapts a copy (`copy.deepcopy`).
+pretraining's CD-1 epoch loop (`rbm._cd1_epochs`) and its layer-by-layer
+propagation, from the normalized parameters, on the speaker's minibatches
+and in place: it consumes the DBN it is given, so a caller that needs the
+normalized parameters afterwards adapts a copy (`copy.deepcopy`).
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ class DbnParams:
                     f"layer {k} visible size {layer.n_visible} does not chain with "
                     f"layer {k - 1} hidden size {self.layers[k - 1].n_hidden}"
                 )
-
-    def propagate(self, X: np.ndarray, upto: int | None = None) -> np.ndarray:
-        """Hidden-probability forward pass through the first `upto` layers."""
-        out = np.asarray(X, dtype=float)
-        for layer in self.layers[:upto]:
-            out = hidden_probs(layer, out)
-        return out
 
 
 def train_udbn(background, hidden_sizes, cfgs) -> DbnParams:
@@ -97,20 +90,23 @@ def adapt_udbn(dbn: DbnParams, batches, cfgs) -> DbnParams:
 
     Adapts `dbn` in place and returns it; a caller that needs the
     unadapted parameters afterwards passes a copy (`copy.deepcopy`).
-    batches is the (K, m, d) array of the speaker's balanced minibatches
-    (`MinibatchPlan.batches`).  cfgs is one RbmTrainConfig per adapted
-    layer, from the bottom; layer k runs on a generator seeded
-    [cfgs[k].seed, k] and sees the minibatches propagated through the
-    already adapted layers below it.
+    batches is the speaker's (K, m, d) array of balanced minibatches
+    (`MinibatchPlan.batches`), checked here for K, m >= 1 and d the DBN's
+    input size.  cfgs is one RbmTrainConfig per adapted layer, from the
+    bottom; layer k runs on a generator seeded [cfgs[k].seed, k] and sees
+    the minibatches propagated through the already adapted layers below it.
     """
     cfgs = list(cfgs)
     if len(cfgs) > len(dbn.layers):
         raise ValueError(f"{len(cfgs)} adapted layers exceed DBN depth {len(dbn.layers)}")
-    batches = np.asarray(batches, dtype=float)
-    if batches.ndim != 3 or len(batches) == 0:
-        raise ValueError(f"minibatches must be a non-empty (K, m, d) array, got shape {batches.shape}")
+    batches, d = np.asarray(batches, dtype=float), dbn.layers[0].n_visible
+    if batches.ndim != 3 or 0 in batches.shape or batches.shape[2] != d:
+        raise ValueError(f"minibatches must be a (K, m, {d}) array with K, m >= 1, "
+                         f"got shape {batches.shape}")
+    inputs = list(batches)
     for k, cfg in enumerate(cfgs):
-        inputs = [dbn.propagate(b, upto=k) for b in batches]
+        if k:
+            inputs = [hidden_probs(dbn.layers[k - 1], x) for x in inputs]
         _cd1_epochs(dbn.layers[k], inputs, cfg, np.random.default_rng([cfg.seed, k]))
     return dbn
 

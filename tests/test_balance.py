@@ -35,6 +35,17 @@ def test_impostor_frequencies_breaks_a_tie_at_the_cut_by_ascending_index():
     assert impostor_frequencies(target, impostors, 2).tolist() == [0, 1, 0, 1, 0]
 
 
+@pytest.mark.parametrize("value", [0.0, 1e200], ids=["zero", "overflow"])
+def test_impostor_frequencies_rejects_a_target_of_zero_or_overflowing_norm(value):
+    # a norm of inf would divide the target into a zero vector whose cosines
+    # all tie, so the top-N cut would keep the first N impostors by index
+    impostors = np.random.default_rng(0).normal(size=(8, 3))
+    target = np.array([value, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="zero or overflowing norm among targets"):
+            impostor_frequencies([target], impostors, 5)
+
+
 def test_select_impostors_matches_bruteforce_oracle():
     rng = np.random.default_rng(42)
     for _ in range(10):

@@ -657,6 +657,68 @@ def test_cli_score_names_a_test_utterance_it_cannot_normalize(tmp_path, capsys):
                 if p.name.startswith(("scores_", "report_", "det_"))]
 
 
+def _set_row(path, row: int, values) -> str:
+    """Replace the values of record `row` of an embedding file; returns its id."""
+    lines = Path(path).read_text().splitlines(keepends=True)
+    i = [i for i, line in enumerate(lines) if not line.startswith("#")][row]
+    fields = lines[i].split()
+    lines[i] = " ".join(fields[:2] + values(fields[2:])) + "\n"
+    Path(path).write_text("".join(lines))
+    return fields[0]
+
+
+# kind -> (new values of a row from its old ones, the norm the error reports)
+BAD_ROW = {"zero": (lambda v: ["0"] * len(v), "0.0"),
+           "overflow": (lambda v: ["1e200"] + v[1:], "inf")}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", BAD_ROW)
+def test_cli_train_udbn_names_a_background_vector_of_zero_or_overflowing_norm(tmp_path, capsys,
+                                                                               kind):
+    # a zero row would fail only in balance, unnamed; an overflowing one would
+    # fail the whitener fit after numpy's overflow warnings
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    values, norm = BAD_ROW[kind]
+    first = _set_row(pairs["background"], 7, values)
+    _set_row(pairs["background"], 12, values)
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage train-udbn: background utterance {first!r} in {pairs['background']}: "
+        f"norm {norm} is zero or overflows\n")
+    assert list((tmp_path / "exp" / "out").iterdir()) == []    # nothing recorded
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", BAD_ROW)
+def test_cli_balance_names_a_speaker_whose_target_has_zero_or_overflowing_norm(tmp_path, capsys,
+                                                                                kind):
+    # an overflowing target norm would turn the target into zeros, whose
+    # cosines all tie, so impostor selection would keep the first rows by index
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    values, norm = BAD_ROW[kind]
+    assert _set_row(pairs["enroll"], 1, values) == "spk0001_sess000"
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage balance: speaker 'spk0001' in {pairs['enroll']}: "
+        f"norm {norm} is zero or overflows\n")
+    out = tmp_path / "exp" / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["stamp", "udbn_norm.dbn", "whitener.npz"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_a_zero_session_among_several_still_trains(tmp_path):
+    # the target is the mean of the sessions, whose norm is not zero
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"task": "multi"}
+    save_embeddings(generate_synthetic(SynthConfig(4, 8, 50, 1.0, 0.2, seed=5)), pairs["enroll"])
+    assert _set_row(pairs["enroll"], 19, BAD_ROW["zero"][0]) == "spk0002_sess003"
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 0
+    models = sorted(p.name for p in (tmp_path / "exp" / "out" / "models").glob("*.dnn"))
+    assert models == [f"spk{s:04d}.dnn" for s in range(4)]
+
+
 @pytest.fixture(scope="module")
 def trained_experiment(tmp_path_factory):
     """(pairs, config file, trials) of a 4-speaker experiment whose first three

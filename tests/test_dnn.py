@@ -115,9 +115,11 @@ def test_forward_matches_loop_oracle():
 
 
 def test_forward_dimension_check():
+    # scoring takes the vectors of test.txt and checks their width; the
+    # forward pass it shares with backprop checks nothing
     m = _random_model([4, 3, 2], seed=0)
-    with pytest.raises(ValueError):
-        _forward_full(m, np.zeros((1, 5)))
+    with pytest.raises(ValueError, match=re.escape("input dimension 5 != 4")):
+        score_llr_batch(m, np.zeros((1, 5)))
 
 
 def _num_grad(model, X, Y, step=1e-5):
@@ -398,6 +400,24 @@ def _one_batch_plan(labels):
     """One minibatch of all-ones 3-dimensional rows, one per label row."""
     labels = np.array(labels, dtype=float)
     return MinibatchPlan(np.ones((1, len(labels), 3)), labels)
+
+
+def test_fine_tuning_checks_the_plan_once():
+    # no minibatch, a label block of another row count, and rows of
+    # another width than the model's input; backprop checks none of them
+    m = _random_model([3, 4, 2], seed=0)
+    before = copy.deepcopy(m)
+    labels = np.repeat(np.eye(2), 2, axis=0)
+    for plan, shapes in [
+        (MinibatchPlan(np.ones((0, 4, 3)), labels), "0 (4, 3) minibatches and (4, 2)"),
+        (MinibatchPlan(np.ones((2, 4, 3)), np.eye(2)), "2 (4, 3) minibatches and (2, 2)"),
+        (MinibatchPlan(np.ones((2, 4, 5)), labels), "2 (4, 5) minibatches and (4, 2)"),
+    ]:
+        message = f"plan of {shapes} labels does not fit a model of input dimension 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_speaker_dnn(m, plan, FineTuneConfig(learning_rate=0.1, epochs=1))
+    assert all(np.array_equal(a, b) for a, b in zip(m.weights + m.biases,
+                                                    before.weights + before.biases))
 
 
 @pytest.mark.filterwarnings("error")

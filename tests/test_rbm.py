@@ -194,13 +194,6 @@ def test_cd1_momentum_recurrence():
     np.testing.assert_allclose(d2, mom * d1 + eta * (v * p1 - v_rec * p2), atol=1e-12)
 
 
-def test_cd1_dimension_mismatch():
-    rbm = init_rbm(3, 2, "gaussian", seed=0)
-    with pytest.raises(ValueError):
-        cd1_step(rbm, np.zeros((2, 4)), _cfg(), RbmVelocity.zeros_like(rbm),
-                 np.random.default_rng(0))
-
-
 @pytest.mark.filterwarnings("error")
 def test_cd1_divergence_raises():
     rbm = init_rbm(2, 2, "gaussian", seed=0)

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,13 @@ from spkdbn.udbn import (
 
 def _toy_data(seed=0, n=40, d=6):
     return np.random.default_rng(seed).normal(size=(n, d))
+
+
+def _propagate(dbn, X, upto):
+    """Hidden probabilities of X through the first `upto` layers, from scratch."""
+    for layer in dbn.layers[:upto]:
+        X = hidden_probs(layer, X)
+    return X
 
 
 def _cfg(seed=0, epochs=3, lr=0.01):
@@ -48,7 +56,7 @@ def test_train_udbn_depth_three_trains_each_layer_on_the_one_below():
     cfgs = [_cfg(1), _cfg(2), _cfg(3)]
     dbn = train_udbn(X, [8, 6, 4], cfgs)
     for k, kind in enumerate(("gaussian", "bernoulli", "bernoulli")):
-        direct, _ = train_rbm(dbn.propagate(X, upto=k), cfgs[k], kind, dbn.layers[k].n_hidden)
+        direct, _ = train_rbm(_propagate(dbn, X, k), cfgs[k], kind, dbn.layers[k].n_hidden)
         for name in ("W", "b_vis", "b_hid"):
             np.testing.assert_array_equal(getattr(dbn.layers[k], name), getattr(direct, name))
 
@@ -167,7 +175,7 @@ def test_two_layer_adaptation_matches_a_cd1_reference_loop():
                              weight_decay=0.01, seed=seed)
         layer, velocity = ref.layers[k], RbmVelocity.zeros_like(ref.layers[k])
         rng = np.random.default_rng([seed, k])
-        inputs = [ref.propagate(b, upto=k) for b in batches]
+        inputs = [_propagate(ref, b, k) for b in batches]
         for _ in range(epochs[k]):
             for x in inputs:
                 cd1_step(layer, x, cfg, velocity, rng)
@@ -181,6 +189,16 @@ def test_adapt_depth_check():
     udbn = normalize_udbn(_random_dbn(4))
     with pytest.raises(ValueError, match="exceed DBN depth 2"):
         adapt_udbn(udbn, _batches(), _adapt_cfg(layers=3, epochs=(1, 1, 1), lrs=(0.001,) * 3))
+
+
+def test_adapt_checks_the_minibatch_shape():
+    # wrong width, no rows, no minibatches, and a single minibatch; each
+    # would otherwise reach CD-1, which checks nothing
+    for shape in [(3, 6, 4), (3, 0, 5), (0, 6, 5), (6, 5)]:
+        udbn = normalize_udbn(_random_dbn(4))
+        message = f"minibatches must be a (K, m, 5) array with K, m >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            adapt_udbn(udbn, np.zeros(shape), _adapt_cfg())
 
 
 def test_dbn_file_roundtrip(tmp_path):

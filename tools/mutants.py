@@ -43,6 +43,9 @@ MUTANTS = {
     "impostor-n-unchecked": ("cli", "if self.impostor_n < 1:", "if False:"),
     "balance-clusters-every-row": (
         "cli", "inputs.background.vectors[selected]", "inputs.background.vectors"),
+    "target-norm-unchecked": ("cli", "    _check_norms(targets,", "    0 and _check_norms(targets,"),
+    "overflowing-target-selected": (
+        "balance", "if not np.all((0.0 < norms) & (norms < np.inf)):", "if np.any(norms == 0.0):"),
     "no-empty-cluster-repair": (
         "balance", "new_assign = _repair_empty_clusters(new_assign, sims, k)",
         "new_assign = new_assign"),
@@ -68,6 +71,8 @@ MUTANTS = {
         "udbn", "np.random.default_rng([cfg.seed, k])", "np.random.default_rng([cfg.seed, 0])"),
     "adapt-bottom-layer-only": (
         "udbn", "for k, cfg in enumerate(cfgs):", "for k, cfg in enumerate(cfgs[:1]):"),
+    "adapt-minibatch-shape-unchecked": (
+        "udbn", "if batches.ndim != 3 or 0 in batches.shape or batches.shape[2] != d:", "if False:"),
     "adapt-one-layer-fewer": (
         "cli", "for k in range(cfg.adapt_layers)]", "for k in range(cfg.adapt_layers - 1)]"),
     "same-speaker-seed": (
@@ -75,6 +80,8 @@ MUTANTS = {
     # fine-tuning
     "fine-tune-batches-reversed": (
         "dnn", "for X in plan.batches)", "for X in plan.batches[::-1])"),
+    "fine-tune-plan-unchecked": (
+        "dnn", "if K == 0 or plan.labels.shape != (m, 2) or width != model.input_dim:", "if False:"),
     # the per-speaker network is one set of arrays: a second copy changes
     # no output byte, only the worker's peak memory
     "speaker-network-copied": (
@@ -123,7 +130,10 @@ MUTANTS = {
         "fit_whitener(inputs.background.vectors)"),
     "det-corner-dropped": ("evaluation", "same[:-1] & same[1:]", "same[:-1] | same[1:]"),
     "det-collinear-point-kept": ("evaluation", ".any(axis=1)", ".all(axis=1)"),
-    # config reading and resume
+    # config reading, input checks and resume
+    "background-norm-unchecked": (
+        "cli", "    _check_norms(inputs.background.vectors,",
+        "    0 and _check_norms(inputs.background.vectors,"),
     "config-inline-comment-accepted": ("cli", 'if re.search(r"\\s#", value):', "if False:"),
     "stamp-mismatch-skipped": ("cli", "if recorded != self.stamp:", "if False:"),
     "speaker-label-unchecked": ("cli", "if os.path.basename(label) != label:", "if False:"),
