@@ -41,7 +41,6 @@ from .embeddings import (
     fit_whitener,
     generate_synthetic,
     load_arrays,
-    load_embeddings,
     parse_embeddings,
     save_arrays,
     save_embeddings,
@@ -232,7 +231,7 @@ def _stage(name: str, artifacts: list[str], record: _Record, fn) -> None:
 # `{}` is a speaker label or a system.  STAGES lists them per stage, and each
 # stage joins them onto `cfg.out`.
 _UDBN, _WHITENER = "udbn_norm.dbn", "whitener.npz"
-_SELECTED, _CENTROIDS = "selected_impostors.txt", "centroids.txt"
+_SELECTED, _CENTROIDS = "selected_impostors.txt", "centroids.npz"
 _MODEL = os.path.join("models", "{}.dnn")
 _SCORES, _REPORT, _DET = "scores_{}.txt", "report_{}.txt", "det_{}.csv"
 
@@ -352,7 +351,8 @@ def stage_train_udbn(cfg: ExperimentConfig, inputs: _Inputs) -> None:
 def stage_balance(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     """Select the kappa most frequent impostors, then cluster their rows.
     A speaker's target, the mean of its sessions, needs a finite non-zero norm."""
-    targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
+    with np.errstate(over="ignore"):   # _check_norms names the speaker whose mean overflows
+        targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
     _check_norms(targets, list(inputs.speakers), "speaker", cfg.enroll)
     freqs = balance.impostor_frequencies(targets, inputs.background.vectors, cfg.impostor_n)
     selected = balance.rank_impostors(freqs, min(cfg.impostor_kappa, len(inputs.background)))
@@ -361,8 +361,7 @@ def stage_balance(cfg: ExperimentConfig, inputs: _Inputs) -> None:
             fh.write(f"{inputs.background.ids[idx]} {freqs[idx]}\n")
     centroids = balance.kmeans_cosine(inputs.background.vectors[selected], cfg.num_centroids,
                                       seed=derive_seed(cfg.master_seed, "kmeans"))
-    ids = tuple(f"centroid_{j}" for j in range(len(centroids)))
-    save_embeddings(Dataset(ids, (None,) * len(ids), centroids), os.path.join(cfg.out, _CENTROIDS))
+    save_arrays(os.path.join(cfg.out, _CENTROIDS), "centroids", centroids=centroids)
 
 
 def _train_one_speaker(args) -> str:
@@ -391,7 +390,7 @@ def _train_one_speaker(args) -> str:
 
 
 def stage_train_speakers(cfg: ExperimentConfig, inputs: _Inputs, jobs: int) -> None:
-    centroids = load_embeddings(os.path.join(cfg.out, _CENTROIDS)).vectors
+    centroids = load_arrays(os.path.join(cfg.out, _CENTROIDS), "centroids")["centroids"]
     os.makedirs(os.path.join(cfg.out, os.path.dirname(_MODEL)), exist_ok=True)
     tasks = [(cfg, spk, targets, centroids) for spk, targets in inputs.speakers.items()]
     # A fork-context pool starts all max_workers processes at once.

@@ -1,5 +1,5 @@
-"""Utterance embedding sets, text I/O, the float64 `.npz` store for model
-files, synthetic data and whitening.
+"""Utterance embedding sets, text I/O, the float64 `.npz` store for every
+array the program reads back, synthetic data and whitening.
 
 Embeddings are fixed-dimension real vectors with an utterance id and an
 optional speaker label.  A `Dataset` holds a set of them as columns: one
@@ -16,7 +16,6 @@ speaker label '-' marks unlabeled (background) data.
 
 from __future__ import annotations
 
-import re
 import zipfile
 
 import numpy as np
@@ -46,8 +45,9 @@ def save_arrays(path, kind: str, **arrays) -> None:
     """Write named float64 arrays and the format tag `kind` to `path` as an
     uncompressed `.npz` archive; floats round-trip exactly.
 
-    Model files go through this function and `load_arrays` only.  np.savez is given an open file because it appends `.npz` to a
-    name that lacks it.
+    Every array the program reads back (models, whitener, centroids) goes
+    through this function and `load_arrays`.  np.savez is given an open
+    file because it appends `.npz` to a name that lacks it.
     """
     data = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
     with open(path, "wb") as fh:
@@ -87,7 +87,8 @@ def _fmt(x: float) -> str:
 class Dataset:
     """An embedding set held as three columns: row i of the (n, d) float64
     matrix `vectors` is utterance `ids[i]` of speaker `speakers[i]` (None
-    for unlabeled background data)."""
+    for unlabeled background data).  It checks nothing: `parse_embeddings`
+    checks its file line by line, and code builds only valid sets."""
 
     ids: tuple[str, ...]
     speakers: tuple[str | None, ...]
@@ -95,28 +96,7 @@ class Dataset:
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[1] < 1:
-            raise ValueError(
-                f"vectors must be an (n, d) matrix with d >= 1, got shape {vectors.shape}"
-            )
-        ids, speakers = tuple(self.ids), tuple(self.speakers)
-        if not len(ids) == len(speakers) == vectors.shape[0]:
-            raise ValueError(
-                f"column lengths differ: {len(ids)} ids, {len(speakers)} speakers, "
-                f"{vectors.shape[0]} vectors"
-            )
-        index = {utt: i for i, utt in enumerate(ids)}
-        if len(index) != len(ids):
-            dup = next(utt for i, utt in enumerate(ids) if index[utt] != i)
-            raise ValueError(f"duplicate utterance_id {dup!r}")
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"non-finite value in embedding {ids[int(np.argmin(finite))]!r}")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "speakers", speakers)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", {utt: i for i, utt in enumerate(self.ids)})
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -159,31 +139,22 @@ class SynthConfig:
             raise ValueError("spreads must be > 0")
 
 
-def load_embeddings(path) -> Dataset:
-    with open(path) as fh:
-        return parse_embeddings(fh, path)
-
-
 def parse_embeddings(lines, path) -> Dataset:
     """Parse the lines of the embedding text file `path` into a Dataset.
 
-    The dimension is inferred from the first record; a malformed row, bad
-    float, inconsistent dimension, non-finite value or duplicate utterance
-    id raises ParseError naming the line number.  A file with only the
-    `# embeddings d=<d>` header, d >= 1, loads as an empty set of dimension d.
+    The one check of an embedding file: the dimension is inferred from the
+    first record; a malformed row, bad float, inconsistent dimension,
+    non-finite value or duplicate utterance id raises ParseError naming the
+    line number, and a file with no records one naming the file.
     """
     ids: list[str] = []
     speakers: list[str | None] = []
     rows: list[np.ndarray] = []
     dim = None
-    header_dim = None
     seen: set[str] = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            m = re.match(r"#\s*embeddings\s+d=(\d+)", line)
-            if m:
-                header_dim = int(m.group(1))
             continue
         fields = line.split(" ")
         if len(fields) < 3:
@@ -208,8 +179,6 @@ def parse_embeddings(lines, path) -> Dataset:
         speakers.append(None if spk == "-" else spk)
         rows.append(values)
     if dim is None:
-        if header_dim:
-            return Dataset((), (), np.zeros((0, header_dim)))
         raise ParseError(f"{path}: no embedding records found")
     return Dataset(tuple(ids), tuple(speakers), np.stack(rows))
 

@@ -29,21 +29,12 @@ DCF_P_TARGET = 0.01
 
 @dataclass(frozen=True)
 class Trials:
-    """A trial list as three columns, strictly increasing in (model, test)."""
+    """A trial list as three columns, strictly increasing in (model, test),
+    keys 'target' or 'nontarget'; `parse_trials`, its only maker, checks it."""
 
     models: tuple[str, ...]
     tests: tuple[str, ...]
     keys: tuple[str, ...]
-
-    def __post_init__(self):
-        if not len(self.models) == len(self.tests) == len(self.keys):
-            raise ValueError("trial columns differ in length")
-        unknown = set(self.keys) - {"target", "nontarget"}
-        if unknown:
-            raise ValueError(f"unknown trial key {min(unknown)!r}")
-        pairs = list(zip(self.models, self.tests))
-        if any(not p < q for p, q in zip(pairs, pairs[1:])):
-            raise ValueError("trial pairs are not strictly increasing in (model, test)")
 
     def __len__(self) -> int:
         return len(self.models)
@@ -150,7 +141,8 @@ def evaluate_trials(scores, keys) -> EvalReport:
 
 def parse_trials(lines, path) -> Trials:
     """Trial list file `path` from its lines, `<model_id> <test_utterance_id>
-    <target|nontarget>` each, in any order, each pair once; sorted by (model, test)."""
+    <target|nontarget>` each, in any order, each pair once; sorted by (model, test).
+    The one check of a trial list: a ParseError names the offending line."""
     key_of, first_line = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()

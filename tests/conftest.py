@@ -3,7 +3,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from spkdbn.embeddings import Dataset, SynthConfig, generate_synthetic, save_embeddings
+from spkdbn.embeddings import (Dataset, SynthConfig, generate_synthetic, parse_embeddings,
+                               save_embeddings)
+
+
+def read_embeddings(path) -> Dataset:
+    """The embedding file at path, read by the package's own reader."""
+    with open(path) as fh:
+        return parse_embeddings(fh, path)
 
 
 def unlabel(dataset: Dataset) -> Dataset:

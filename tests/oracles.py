@@ -13,7 +13,6 @@ at the end parse one line at a time, with `float()` per field.
 """
 
 import math
-import re
 
 import numpy as np
 
@@ -123,14 +122,10 @@ def mean_cross_entropy_oracle(model, X, Y):
 def parse_embeddings_oracle(lines, path):
     ids, speakers, rows = [], [], []
     dim = None
-    header_dim = None
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
-            m = re.match(r"#\s*embeddings\s+d=(\d+)", line)
-            if m:
-                header_dim = int(m.group(1))
             continue
         fields = line.split(" ")
         if len(fields) < 3:
@@ -155,8 +150,6 @@ def parse_embeddings_oracle(lines, path):
         speakers.append(None if spk == "-" else spk)
         rows.append(values)
     if dim is None:
-        if header_dim:
-            return Dataset((), (), np.zeros((0, header_dim)))
         raise ParseError(f"{path}: no embedding records found")
     return Dataset(tuple(ids), tuple(speakers), np.stack(rows))
 

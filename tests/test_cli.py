@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_experiment, subset
+from conftest import make_experiment, read_embeddings, subset
 from oracles import cosine_bits_oracle, load_scores_oracle, select_impostors_oracle
 from spkdbn import cli
 from spkdbn.balance import kmeans_cosine
@@ -32,7 +32,8 @@ from spkdbn.embeddings import (
     SynthConfig,
     fit_whitener,
     generate_synthetic,
-    load_embeddings,
+    load_arrays,
+    save_arrays,
     save_embeddings,
 )
 from spkdbn.evaluation import evaluate_trials, fuse, parse_trials, save_report
@@ -247,7 +248,7 @@ def test_pipeline_end_to_end_and_artifacts(tmp_path):
     reports = run_pipeline(cfg)
     out = tmp_path / "exp" / "out"
     for name in ("udbn_norm.dbn", "whitener.npz", "selected_impostors.txt",
-                 "centroids.txt", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
+                 "centroids.npz", "scores_dnn.txt", "scores_baseline.txt", "scores_fused.txt",
                  "report_dnn.txt", "det_dnn.csv"):
         assert (out / name).exists(), name
     assert (out / "models" / "spk0000.dnn").exists()
@@ -284,7 +285,7 @@ def test_stage_skipping_matches_fresh_run(tmp_path):
 # Every file a 4-speaker run writes besides `stamp`, with the stage that writes it.
 ARTIFACT_STAGES = {
     "udbn_norm.dbn": "train-udbn", "whitener.npz": "train-udbn",
-    "selected_impostors.txt": "balance", "centroids.txt": "balance",
+    "selected_impostors.txt": "balance", "centroids.npz": "balance",
     **{f"models/spk{s:04d}.dnn": "train-speakers" for s in range(4)},
     **{name: "score" for system in ("dnn", "baseline", "fused")
        for name in (f"scores_{system}.txt", f"report_{system}.txt", f"det_{system}.csv")},
@@ -355,7 +356,7 @@ def test_resume_after_an_input_changed_is_rejected(tmp_path, capsys):
     assert main(["run", "--config", cfg_file]) == 0
     out = tmp_path / "exp" / "out"
     before = _tree_hashes(out)
-    test = load_embeddings(pairs["test"])
+    test = read_embeddings(pairs["test"])
     save_embeddings(Dataset(test.ids, test.speakers, -test.vectors), pairs["test"])
     capsys.readouterr()
     assert main(["run", "--config", cfg_file]) == 1
@@ -429,7 +430,7 @@ def test_cli_gen_synth_and_subcommands(tmp_path, capsys):
     rc = main(["gen-synth", "--speakers", "3", "--sessions", "2", "--dim", "5",
                "--seed", "1", "--unlabeled", "--out", str(out)])
     assert rc == 0
-    ds = load_embeddings(out)
+    ds = read_embeddings(out)
     assert len(ds) == 6
     assert ds.speakers == (None,) * 6
 
@@ -463,7 +464,7 @@ def test_cli_writes_the_normalized_udbn(tmp_path):
     assert main(["train-udbn", "--config", cfg_file]) == 0
     written = load_dbn(tmp_path / "exp" / "out" / "udbn_norm.dbn")
     cfg = resolve_config(pairs)
-    background = load_embeddings(pairs["background"]).vectors
+    background = read_embeddings(pairs["background"]).vectors
     expected = normalize_udbn(train_udbn(background, [cfg.hidden_size] * cfg.depth,
                                          cli._rbm_configs(cfg)))
     assert written.normalized and expected.normalized
@@ -488,7 +489,7 @@ def test_cli_stage_before_its_inputs_fails(tmp_path, capsys, command, stage):
 def test_cli_train_speakers_names_the_speaker_with_bad_enrollment(tmp_path, capsys):
     pairs = make_experiment(tmp_path / "exp")
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
-    enroll = load_embeddings(pairs["enroll"])
+    enroll = read_embeddings(pairs["enroll"])
     second = enroll.by_speaker()["spk0005"] + 0.01
     save_embeddings(Dataset(enroll.ids + ("spk0005_sess000b",), enroll.speakers + ("spk0005",),
                             np.vstack([enroll.vectors, second])), pairs["enroll"])
@@ -579,7 +580,7 @@ def test_cli_background_too_small_to_whiten_fails_before_anything_is_stamped(tmp
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)   # d=50
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     full = (tmp_path / "exp" / "background.txt").read_bytes()
-    background = load_embeddings(pairs["background"])
+    background = read_embeddings(pairs["background"])
     save_embeddings(subset(background, lambda utt: utt in background.ids[:40]), pairs["background"])
     assert main(["run", "--config", cfg_file]) == 1
     assert ("stage train-udbn: need at least d+1=51 vectors to fit a whitener, got 40"
@@ -719,6 +720,20 @@ def test_cli_a_zero_session_among_several_still_trains(tmp_path):
     assert models == [f"spk{s:04d}.dnn" for s in range(4)]
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_balance_names_a_speaker_whose_session_mean_overflows(tmp_path, capsys):
+    # each session is finite, but their sum, and so the target, is not
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"task": "multi"}
+    save_embeddings(generate_synthetic(SynthConfig(4, 2, 50, 1.0, 0.2, seed=5)), pairs["enroll"])
+    for row in (0, 1):
+        assert _set_row(pairs["enroll"], row, lambda v: ["1e308"] * len(v)).startswith("spk0000")
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage balance: speaker 'spk0000' in {pairs['enroll']}: "
+        "norm inf is zero or overflows\n")
+
+
 @pytest.fixture(scope="module")
 def trained_experiment(tmp_path_factory):
     """(pairs, config file, trials) of a 4-speaker experiment whose first three
@@ -771,8 +786,8 @@ def test_cli_balance_stage_uses_the_configured_n_and_clusters_the_selected_rows(
     pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"impostor_n": "3"}
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["balance", "--config", cfg_file]) == 0
-    background = load_embeddings(pairs["background"])
-    targets = [v.mean(axis=0).tolist() for v in load_embeddings(pairs["enroll"]).by_speaker().values()]
+    background = read_embeddings(pairs["background"])
+    targets = [v.mean(axis=0).tolist() for v in read_embeddings(pairs["enroll"]).by_speaker().values()]
     kappa = int(pairs["impostor_kappa"])
     selected, freqs = select_impostors_oracle(targets, background.vectors.tolist(), 3, kappa)
     lines = (tmp_path / "exp" / "out" / "selected_impostors.txt").read_text().splitlines()
@@ -783,9 +798,8 @@ def test_cli_balance_stage_uses_the_configured_n_and_clusters_the_selected_rows(
     cfg = resolve_config(pairs)
     want = kmeans_cosine(background.vectors[selected], cfg.num_centroids,
                          seed=derive_seed(cfg.master_seed, "kmeans"))
-    got = load_embeddings(tmp_path / "exp" / "out" / "centroids.txt")
-    assert got.ids == tuple(f"centroid_{j}" for j in range(cfg.num_centroids))
-    assert got.vectors.tobytes() == want.tobytes()
+    got = load_arrays(tmp_path / "exp" / "out" / "centroids.npz", "centroids")["centroids"]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
@@ -800,6 +814,53 @@ def test_cli_score_names_a_truncated_model_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["score", "--config", str(cfg_file)]) == 1
     assert str(model) in capsys.readouterr().err
+
+
+def test_cli_train_speakers_rejects_a_centroids_file_of_another_format(
+        tmp_path, capsys, trained_experiment):
+    pairs, cfg_file, _ = trained_experiment
+    out = tmp_path / "out"
+    shutil.copytree(pairs["out"], out)
+    save_arrays(out / "centroids.npz", "whitener", centroids=np.ones((12, 50)))
+    os.remove(out / "models" / "spk0000.dnn")
+    capsys.readouterr()
+    assert main(["train-speakers", "--config", cfg_file, "--override", f"out={out}"]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage train-speakers: {out / 'centroids.npz'}: expected a centroids file, "
+        "format tag is 'whitener'\n")
+
+
+def _scores_by_trial(path, rename):
+    """{(model, test): score text} of a score file, a model renamed by `rename`."""
+    return {(rename.get(m, m), t): score
+            for m, t, score in (line.split() for line in Path(path).read_text().splitlines())}
+
+
+def test_renaming_a_speaker_changes_only_what_its_label_reaches(tmp_path):
+    # The label seeds the speaker's model and orders the trial list, so the
+    # renamed model, the score files, the DNN and fused reports and the stamp
+    # differ; nothing else does, and no other speaker's scores move.
+    runs = {}
+    for label in ("spk0002", "zzz0002"):
+        pairs = make_experiment(tmp_path / label, num_speakers=5)
+        for name in ("enroll", "trials"):
+            text = Path(pairs[name]).read_text()
+            Path(pairs[name]).write_text(re.sub(r"(^|(?<= ))spk0002(?= )", label, text,
+                                                flags=re.M))
+        assert main(["run", "--config", _write_config(tmp_path / f"{label}.cfg", pairs)]) == 0
+        runs[label] = Path(pairs["out"])
+    a, b = _tree_hashes(runs["spk0002"]), _tree_hashes(runs["zzz0002"])
+    same = {name for name in a if a[name] == b.get(name)}
+    assert same == {*(f"models/spk{s:04d}.dnn" for s in (0, 1, 3, 4)), "udbn_norm.dbn",
+                    "whitener.npz", "selected_impostors.txt", "centroids.npz",
+                    "report_baseline.txt", "det_dnn.csv", "det_baseline.csv", "det_fused.csv"}
+    assert set(b) - set(a) == {"models/zzz0002.dnn"}
+    for system, renamed in (("baseline", None), ("dnn", "spk0002")):
+        want = _scores_by_trial(runs["spk0002"] / f"scores_{system}.txt", {})
+        got = _scores_by_trial(runs["zzz0002"] / f"scores_{system}.txt", {"zzz0002": "spk0002"})
+        assert got.keys() == want.keys()
+        assert ({k: v for k, v in got.items() if k[0] != renamed}
+                == {k: v for k, v in want.items() if k[0] != renamed})
 
 
 def test_cli_multi_task_trains_a_speaker_with_fewer_sessions(tmp_path):
@@ -830,7 +891,7 @@ def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["run", "--config", cfg_file]) == 0
 
-    w = fit_whitener(load_embeddings(pairs["background"]).vectors)
+    w = fit_whitener(read_embeddings(pairs["background"]).vectors)
 
     def unit(v):
         return v / np.linalg.norm(v)
@@ -1032,7 +1093,7 @@ def test_input_rewritten_after_the_stamp_fails_the_stage_that_parses_it(tmp_path
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     original = (tmp_path / "exp" / "background.txt").read_bytes()
-    background = load_embeddings(pairs["background"])
+    background = read_embeddings(pairs["background"])
     real_stage = cli._stage
 
     def rewrite_before_train_udbn(name, *args):
@@ -1112,7 +1173,7 @@ def test_train_speakers_starts_at_most_one_worker_per_speaker(tmp_path, monkeypa
 
 def test_speakers_with_identical_enrollment_get_different_models(tmp_path):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
-    enroll = load_embeddings(pairs["enroll"])
+    enroll = read_embeddings(pairs["enroll"])
     vectors = enroll.vectors.copy()
     vectors[1] = vectors[0]
     save_embeddings(Dataset(enroll.ids, enroll.speakers, vectors), pairs["enroll"])
@@ -1131,7 +1192,7 @@ def test_a_speaker_label_with_a_path_separator_is_rejected(tmp_path, capsys, lab
     # would write the model into another directory, or outside out/.
     label = label.format(tmp_path=tmp_path)
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
-    enroll = load_embeddings(pairs["enroll"])
+    enroll = read_embeddings(pairs["enroll"])
     old = enroll.speakers[0]
     speakers = tuple(label if s == old else s for s in enroll.speakers)
     save_embeddings(Dataset(enroll.ids, speakers, enroll.vectors), pairs["enroll"])

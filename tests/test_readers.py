@@ -62,8 +62,6 @@ EDGE_FLOATS = "1_0 +1.5 ٣.٥ 1e-320 4.9e-324 2.5e-324 .5 5. 1E5 -0 1.7976931348
     "u1 a 1.0 2.0\r\nu2 - 3.0 4.0\r\n",
     "u1 a 1.0 2.0   \nu2 b 3.0 4.0 \t\n",
     f"u1 a {EDGE_FLOATS}\n",
-    "# embeddings d=4 n=0\n",
-    "#embeddings d=2\n\n",
 ])
 def test_embedding_reader_matches_the_oracle_on_valid_files(text):
     assert _check_embeddings(text)[0] == "ok"
@@ -80,6 +78,8 @@ def test_embedding_reader_matches_the_oracle_on_random_rows():
 @pytest.mark.parametrize("text, message", [
     ("", "no embedding records found"),
     ("# only a comment\n", "no embedding records found"),
+    ("# embeddings d=4 n=0\n", "emb.txt: no embedding records found"),
+    ("#embeddings d=2\n\n", "emb.txt: no embedding records found"),
     ("u1 a 1.0\nu2 b\n", ":2: expected id, speaker and values"),
     ("u1 a 1.0 oops\n", ":1: bad float field (could not convert string to float: 'oops')"),
     ("u1 a 1.0  2.0\n", ":1: bad float field (could not convert string to float: '')"),

@@ -130,7 +130,15 @@ MUTANTS = {
         "fit_whitener(inputs.background.vectors)"),
     "det-corner-dropped": ("evaluation", "same[:-1] & same[1:]", "same[:-1] | same[1:]"),
     "det-collinear-point-kept": ("evaluation", ".any(axis=1)", ".all(axis=1)"),
-    # config reading, input checks and resume
+    # config reading, input checks and resume; the readers are the only
+    # check of their files, so nothing behind them catches these
+    "embedding-duplicates-unchecked": ("embeddings", "if utt in seen:", "if False:"),
+    "embedding-non-finite-unchecked": (
+        "embeddings", "if not np.isfinite(values).all():", "if False:"),
+    "embedding-dimension-unchecked": ("embeddings", "elif values.size != dim:", "elif False:"),
+    "trial-key-unchecked": (
+        "evaluation", 'if len(fields) != 3 or fields[2] not in ("target", "nontarget"):',
+        "if len(fields) != 3:"),
     "background-norm-unchecked": (
         "cli", "    _check_norms(inputs.background.vectors,",
         "    0 and _check_norms(inputs.background.vectors,"),
