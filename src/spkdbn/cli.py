@@ -30,12 +30,14 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from . import balance, dnn, evaluation, udbn
 from .embeddings import (
     Dataset,
+    ParseError,
     SynthConfig,
     Whitener,
     fit_whitener,
@@ -70,22 +72,28 @@ class ExperimentConfig:
     init_mode: str = "dbn"  # dbn | random
     # UDBN pre-training
     hidden_size: int = 512
-    grbm_lr: float = 0.014
     grbm_epochs: int = 200
-    bb_lr: float = 0.06
     bb_epochs: int = 120
     # balanced training
-    impostor_n: int = 10
     impostor_kappa: int = 2000
-    num_minibatches: int = 3
     num_centroids: int = 12
-    # adaptation
-    adapt_layers: int = 1
+    # adaptation: one learning rate and one epoch count per adapted layer,
+    # from the bottom; both empty adapts nothing
     adapt_lr: tuple = (0.001,)
     adapt_epochs: tuple = (10,)
     # fine-tuning
     ft_lr: float = 0.001
     ft_epochs: int = 30
+
+    # The same in every published configuration, so not config keys.
+    grbm_lr: ClassVar[float] = 0.014
+    bb_lr: ClassVar[float] = 0.06
+    impostor_n: ClassVar[int] = 10
+    num_minibatches: ClassVar[int] = 3
+
+    @property
+    def adapt_layers(self) -> int:
+        return len(self.adapt_lr)
 
     def __post_init__(self):
         if self.task not in ("single", "multi"):
@@ -96,16 +104,18 @@ class ExperimentConfig:
             raise ValueError("hidden_size must be >= 1")
         if self.init_mode not in ("dbn", "random"):
             raise ValueError(f"init_mode must be 'dbn' or 'random', got {self.init_mode!r}")
-        if self.impostor_n < 1:
-            raise ValueError(f"impostor_n must be >= 1, got {self.impostor_n}")
         if self.impostor_kappa < 1:
             raise ValueError(f"impostor_kappa must be >= 1, got {self.impostor_kappa}")
         if not 1 <= self.num_centroids <= self.impostor_kappa:
             raise ValueError(f"num_centroids={self.num_centroids} must be in "
                              f"1..impostor_kappa={self.impostor_kappa}")
-        if self.num_minibatches < 1 or self.num_centroids % self.num_minibatches:
+        if self.num_centroids % self.num_minibatches:
             raise ValueError(f"num_centroids={self.num_centroids} not divisible into "
                              f"num_minibatches={self.num_minibatches} minibatches")
+        if len(self.adapt_lr) != len(self.adapt_epochs) or len(self.adapt_lr) > self.depth:
+            raise ValueError(f"adapt_lr and adapt_epochs need one value per adapted layer, "
+                             f"at most depth={self.depth}; got {len(self.adapt_lr)} and "
+                             f"{len(self.adapt_epochs)}")
         _rbm_configs(self)
         _adapt_configs(self, seed=0)
         _fine_tune_config(self)
@@ -115,9 +125,9 @@ class ExperimentConfig:
 # defaults above.  Explicit config keys and CLI overrides win over them.
 _PRESETS = {
     ("single", 1): {},
-    ("single", 2): {"impostor_kappa": 300, "adapt_layers": 2, "adapt_lr": (0.001, 0.0001),
+    ("single", 2): {"impostor_kappa": 300, "adapt_lr": (0.001, 0.0001),
                     "adapt_epochs": (20, 15), "ft_lr": 0.005, "ft_epochs": 100},
-    ("single", 3): {"impostor_kappa": 500, "adapt_layers": 2, "adapt_lr": (0.001, 0.0001),
+    ("single", 3): {"impostor_kappa": 500, "adapt_lr": (0.001, 0.0001),
                     "adapt_epochs": (15, 20), "ft_lr": 0.08, "ft_epochs": 500},
     ("multi", 1): {"num_centroids": 24},
     ("multi", 2): {"impostor_kappa": 300, "num_centroids": 24, "ft_lr": 0.01, "ft_epochs": 100},
@@ -236,13 +246,25 @@ _MODEL = os.path.join("models", "{}.dnn")
 _SCORES, _REPORT, _DET = "scores_{}.txt", "report_{}.txt", "det_{}.csv"
 
 
+def _decoded(fh, digest, path):
+    """The lines of the binary file `fh` as text, each hashed into `digest`
+    first; a line that is not UTF-8 raises ParseError naming `path` and it."""
+    for lineno, line in enumerate(fh, start=1):
+        digest.update(line)
+        try:
+            yield line.decode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text (byte {line[exc.start]:#04x} "
+                             f"at column {exc.start + 1})") from None
+
+
 def _parsed(name: str):
     """A cached `_Inputs` property: input `name`, parsed as it is hashed."""
     def get(inputs):
         path, digest = getattr(inputs.cfg, name), hashlib.sha256()
         parse = evaluation.parse_trials if name == "trials" else parse_embeddings
         with open(path, "rb") as fh:
-            parsed = parse((digest.update(line) or line.decode() for line in fh), path)
+            parsed = parse(_decoded(fh, digest, path), path)
         if digest.digest() != inputs.digests[name]:
             raise ValueError(f"input file {path} changed after this invocation hashed it")
         return parsed
@@ -305,11 +327,6 @@ def _rbm_configs(cfg: ExperimentConfig) -> list[RbmTrainConfig]:
 
 def _adapt_configs(cfg: ExperimentConfig, seed: int) -> list[RbmTrainConfig]:
     """One RbmTrainConfig per adapted layer; seed is the speaker's stream seed."""
-    if not 0 <= cfg.adapt_layers <= cfg.depth:
-        raise ValueError(f"adapt_layers must be in 0..depth={cfg.depth}, got {cfg.adapt_layers}")
-    if min(len(cfg.adapt_lr), len(cfg.adapt_epochs)) < cfg.adapt_layers:
-        raise ValueError(f"adapt_lr and adapt_epochs need a value per adapted layer "
-                         f"(adapt_layers={cfg.adapt_layers})")
     return [RbmTrainConfig(learning_rate=cfg.adapt_lr[k], epochs=cfg.adapt_epochs[k], seed=seed)
             for k in range(cfg.adapt_layers)]
 
@@ -351,6 +368,9 @@ def stage_train_udbn(cfg: ExperimentConfig, inputs: _Inputs) -> None:
 def stage_balance(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     """Select the kappa most frequent impostors, then cluster their rows.
     A speaker's target, the mean of its sessions, needs a finite non-zero norm."""
+    if inputs.enroll.dimension != inputs.background.dimension:
+        raise ValueError(f"{cfg.enroll} has dimension {inputs.enroll.dimension}, "
+                         f"{cfg.background} has {inputs.background.dimension}")
     with np.errstate(over="ignore"):   # _check_norms names the speaker whose mean overflows
         targets = [vs.mean(axis=0) for vs in inputs.speakers.values()]
     _check_norms(targets, list(inputs.speakers), "speaker", cfg.enroll)
@@ -413,6 +433,13 @@ def stage_score(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     if unknown:
         raise ValueError(f"trial model {min(unknown)!r} is not an enrolled speaker")
     utts, prepared = list(dict.fromkeys(trials.tests)), {}
+    missing = set(utts) - set(test.ids)
+    if missing:
+        raise ValueError(f"unknown utterance id {min(missing)!r} in {cfg.trials}: "
+                         f"no such utterance in {cfg.test}")
+    if test.dimension != inputs.enroll.dimension:
+        raise ValueError(f"{cfg.test} has dimension {test.dimension}, "
+                         f"{cfg.enroll} has {inputs.enroll.dimension}")
     with np.errstate(over="ignore", invalid="ignore"):   # length_normalize rejects the result
         for t, x in zip(utts, test.rows(utts)):
             try:

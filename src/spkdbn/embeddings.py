@@ -10,8 +10,9 @@ record per line:
 
     <utterance_id> <speaker_id|-> <v_1> ... <v_d>
 
-separated by single spaces; lines starting with '#' are comments.  The
-speaker label '-' marks unlabeled (background) data.
+separated by any run of whitespace, as the fields of a trial list are;
+lines starting with '#' are comments.  The speaker label '-' marks
+unlabeled (background) data.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def parse_embeddings(lines, path) -> Dataset:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(" ")
+        fields = line.split()
         if len(fields) < 3:
             raise ParseError(f"{path}:{lineno}: expected id, speaker and values")
         utt, spk = fields[0], fields[1]

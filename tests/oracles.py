@@ -127,7 +127,7 @@ def parse_embeddings_oracle(lines, path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split(" ")
+        fields = line.split()
         if len(fields) < 3:
             raise ParseError(f"{path}:{lineno}: expected id, speaker and values")
         utt, spk = fields[0], fields[1]

@@ -76,7 +76,6 @@ def test_config_file_overrides_and_presets(tmp_path):
     assert multi.adapt_epochs == (25,)
     assert multi.ft_lr == 0.08
     # keys no preset sets keep the ExperimentConfig field defaults
-    assert multi.grbm_lr == 0.014
     assert multi.hidden_size == 512
 
 
@@ -112,12 +111,12 @@ def test_preset_kernel_configs_are_pinned(task, depth):
 # digests also change when a default that a preset relies on changes.  The
 # input and output paths are not hashed.
 PRESET_HASHES = {
-    ("single", 1): "b58cdb06762c6a19097f22e050e159fcadf5284066616e5305f7783859349022",
-    ("single", 2): "cce9394c9eeeee23d43c9d20d06357988596e7035c1ffa88e38298404cd4d0b4",
-    ("single", 3): "5f2423ef99ee944b00d51f4b1b397f891c2be87619536e265fe06651beb2632a",
-    ("multi", 1): "88166e700b9e0b242d74d752e71d45c49f40dd30f66ce803c987d986eedb50bd",
-    ("multi", 2): "bdbe1b4208c2aec93f45c5131b1fada97e536acb32e4ab4de390ecb594e715c5",
-    ("multi", 3): "a7253ab4110c9e6a1d63a644a15ba06eefabcfefb6197f6b5dcf33ebc7dfcde0",
+    ("single", 1): "091bbd4287a6899b6f0d8544864e661ba4ec2b62b89fe54d39bea709925826d6",
+    ("single", 2): "d598342f2531e6cc01c56f9a3f06d2e0c645ecbb937a0349398a33f0663a5c64",
+    ("single", 3): "8e42700660eee472c4ad97c96269ccced670af199eff4d7191a4e8f73878cf6c",
+    ("multi", 1): "f301899cb17939f0d5ef1d8080a7cc29050f781e5f901ba0fafa43c640b0be39",
+    ("multi", 2): "5b89c349236fb63e300c6fd62e745d687ce01337b34df550a0178c327f2b2f0a",
+    ("multi", 3): "fe4c008970e01ceaca45f109a1e0e15f39115fc2cc9e2ad092f48a6327f85738",
 }
 
 
@@ -189,10 +188,9 @@ def test_config_hash_sensitivity():
 # For each key that config_hash covers, a valid value other than single-2L's.
 HASHED_CHANGES = {
     "task": "multi", "depth": "3", "master_seed": "1", "init_mode": "random",
-    "hidden_size": "64", "grbm_lr": "0.02", "grbm_epochs": "5", "bb_lr": "0.05",
-    "bb_epochs": "5", "impostor_n": "3", "impostor_kappa": "400", "num_minibatches": "4",
-    "num_centroids": "6", "adapt_layers": "1", "adapt_lr": "0.002,0.0001",
-    "adapt_epochs": "20,16", "ft_lr": "0.004", "ft_epochs": "99",
+    "hidden_size": "64", "grbm_epochs": "5", "bb_epochs": "5", "impostor_kappa": "400",
+    "num_centroids": "6", "adapt_lr": "0.002,0.0001", "adapt_epochs": "20,16",
+    "ft_lr": "0.004", "ft_epochs": "99",
 }
 
 
@@ -523,21 +521,33 @@ def test_cli_error_exit_code(tmp_path, capsys):
 BAD_TRAINING_VALUES = [
     ({"ft_epochs": "-1"}, "epochs must be >= 0"),
     ({"depth": "2", "adapt_lr": "0.001"},   # single-2L adapts two layers
-     "adapt_lr and adapt_epochs need a value per adapted layer (adapt_layers=2)"),
+     "adapt_lr and adapt_epochs need one value per adapted layer, at most depth=2; "
+     "got 1 and 2"),
+    ({"adapt_epochs": "10,10"},
+     "adapt_lr and adapt_epochs need one value per adapted layer, at most depth=1; "
+     "got 1 and 2"),
+    ({"adapt_lr": "0.001,0.001", "adapt_epochs": "10,10"},
+     "adapt_lr and adapt_epochs need one value per adapted layer, at most depth=1; "
+     "got 2 and 2"),
+    ({"adapt_lr": "", "adapt_epochs": "10"},
+     "adapt_lr and adapt_epochs need one value per adapted layer, at most depth=1; "
+     "got 0 and 1"),
     ({"adapt_epochs": "0"}, "epochs must be >= 1"),
-    ({"adapt_layers": "2"}, "adapt_layers must be in 0..depth=1, got 2"),
-    ({"adapt_layers": "-1"}, "adapt_layers must be in 0..depth=1, got -1"),
     ({"num_centroids": "13"}, "num_centroids=13 not divisible into num_minibatches=3"),
     ({"num_centroids": "0"}, "num_centroids=0 must be in 1..impostor_kappa=60"),
     ({"impostor_kappa": "6"}, "num_centroids=12 must be in 1..impostor_kappa=6"),
-    ({"impostor_n": "0"}, "impostor_n must be >= 1, got 0"),
     ({"impostor_kappa": "0"}, "impostor_kappa must be >= 1, got 0"),
     ({"grbm_epochs": "0"}, "epochs must be >= 1"),
     ({"hidden_size": "0"}, "hidden_size must be >= 1"),
     ({"ft_lr": "nan"}, "learning_rate must be finite and >= 0, got nan"),
-    ({"grbm_lr": "nan"}, "learning_rate must be finite and >= 0, got nan"),
     # momentum, weight decay, minibatch size and the k-means cap are not keys
     ({"rbm_momentum": "0.5"}, "unknown config key 'rbm_momentum'"),
+    # nor are the four constants of ExperimentConfig and the adapted layer
+    # count, which the adaptation lists give
+    ({"grbm_lr": "nan"}, "unknown config key 'grbm_lr'"),
+    ({"impostor_n": "0"}, "unknown config key 'impostor_n'"),
+    ({"adapt_layers": "2"}, "unknown config key 'adapt_layers'"),
+    ({"adapt_layers": "-1"}, "unknown config key 'adapt_layers'"),
 ]
 
 
@@ -552,25 +562,67 @@ def test_cli_run_rejects_a_bad_training_value_before_any_stage(tmp_path, capsys,
     assert not os.path.exists(pairs["out"])
 
 
-@pytest.mark.parametrize("key", ["impostor_n", "impostor_kappa"])
+@pytest.mark.parametrize("key", ["grbm_lr", "bb_lr", "impostor_n", "num_minibatches",
+                                 "adapt_layers"])
+def test_cli_override_of_a_constant_or_derived_value_is_an_unknown_key(tmp_path, capsys, key):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert main(["run", "--config", cfg_file, "--override", f"{key}=1"]) == 1
+    assert capsys.readouterr().err == f"spkdbn: stage config: unknown config key {key!r}\n"
+    assert not os.path.exists(pairs["out"])
+
+
+def test_cli_empty_adaptation_lists_train_without_adaptation(tmp_path, monkeypatch):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"adapt_lr": "",
+                                                                 "adapt_epochs": ""}
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    assert resolve_config(pairs).adapt_layers == 0
+    for cmd in STAGE_COMMANDS[:2]:
+        assert main([cmd, "--config", cfg_file]) == 0
+    adapted = []
+    adapt_udbn = cli.udbn.adapt_udbn
+
+    def spy(dbn, batches, cfgs):
+        adapted.append(list(cfgs))
+        return adapt_udbn(dbn, batches, cfgs)
+
+    def no_epochs(*args):
+        raise AssertionError("an adaptation epoch ran")
+
+    monkeypatch.setattr(cli.udbn, "adapt_udbn", spy)
+    monkeypatch.setattr(cli.udbn, "_cd1_epochs", no_epochs)
+    assert main(["train-speakers", "--config", cfg_file]) == 0
+    assert adapted == [[]] * 4
+    monkeypatch.undo()
+    assert main(["score", "--config", cfg_file]) == 0
+
+
+@pytest.mark.parametrize("key", ["impostor_kappa"])
 def test_config_names_an_impostor_count_below_one_and_its_value(key):
     with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
         ExperimentConfig(**{key: 0})
 
 
-@pytest.mark.parametrize("too_large, message", [
-    ({"impostor_n": "1000"}, "impostor_n=1000 exceeds the 200 background vectors"),
-    ({"impostor_kappa": "300", "num_centroids": "201"}, "num_centroids=201 exceeds"),
+@pytest.mark.parametrize("too_large, rows, message", [
+    # impostor_n is 10; 9 rows of dimension 8 are enough to fit the whitener
+    ({}, 9, "impostor_n=10 exceeds the 9 background vectors"),
+    ({"impostor_kappa": "300", "num_centroids": "201"}, 200,
+     "num_centroids=201 exceeds the 200 impostors kept from 200 background vectors"),
 ], ids=["impostor_n", "num_centroids"])
 def test_cli_value_too_large_for_the_background_fails_before_the_udbn_is_stamped(
-        tmp_path, capsys, too_large, message):
-    pairs = make_experiment(tmp_path / "exp", num_speakers=4)   # 200 background vectors
+        tmp_path, capsys, too_large, rows, message):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4, dim=8)   # 200 background vectors
+    full = Path(pairs["background"]).read_bytes()
+    background = read_embeddings(pairs["background"])
+    save_embeddings(subset(background, lambda utt: utt in background.ids[:rows]),
+                    pairs["background"])
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs | too_large)
     assert main(["run", "--config", cfg_file]) == 1
-    assert f"stage train-udbn: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"spkdbn: stage train-udbn: {message}\n"
     assert os.listdir(pairs["out"]) == []     # no artifact and no stamp
 
-    # The corrected config resumes in the same directory.
+    # The corrected config and background resume in the same directory.
+    Path(pairs["background"]).write_bytes(full)
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["run", "--config", cfg_file]) == 0
     assert os.path.exists(os.path.join(pairs["out"], "report_fused.txt"))
@@ -783,17 +835,17 @@ def test_cli_a_nan_score_stops_every_command_that_runs_the_score_stage(
 
 
 def test_cli_balance_stage_uses_the_configured_n_and_clusters_the_selected_rows(tmp_path):
-    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"impostor_n": "3"}
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     assert main(["balance", "--config", cfg_file]) == 0
     background = read_embeddings(pairs["background"])
     targets = [v.mean(axis=0).tolist() for v in read_embeddings(pairs["enroll"]).by_speaker().values()]
-    kappa = int(pairs["impostor_kappa"])
-    selected, freqs = select_impostors_oracle(targets, background.vectors.tolist(), 3, kappa)
+    kappa, n = int(pairs["impostor_kappa"]), ExperimentConfig.impostor_n
+    selected, freqs = select_impostors_oracle(targets, background.vectors.tolist(), n, kappa)
     lines = (tmp_path / "exp" / "out" / "selected_impostors.txt").read_text().splitlines()
     assert lines == [f"{background.ids[i]} {freqs[i]}" for i in selected]
-    # kappa=60 keeps every impostor that a top-3 list names: N * T picks in all
-    assert sum(int(line.split()[1]) for line in lines) == 3 * len(targets)
+    # kappa=60 keeps every impostor that a top-10 list names: N * T picks in all
+    assert sum(int(line.split()[1]) for line in lines) == n * len(targets)
     # the centroids cluster the kappa selected rows, not the whole background
     cfg = resolve_config(pairs)
     want = kmeans_cosine(background.vectors[selected], cfg.num_centroids,
@@ -920,6 +972,63 @@ def test_cli_trial_naming_an_unknown_id_is_reported(tmp_path, capsys, trial, mes
     assert f"stage score: {message}" in capsys.readouterr().err
     assert main(["score-baseline", "--config", cfg_file]) == 1    # runs the score stage
     assert f"stage score: {message}" in capsys.readouterr().err
+
+
+def _drop_last_value(text):
+    """An embedding file's text with the last value of every record removed."""
+    return "".join(line if line.startswith("#") else line.rsplit(" ", 1)[0] + "\n"
+                   for line in text.splitlines(keepends=True))
+
+
+# fault -> (the input it edits, the edit, the stages recorded before the
+# failing one, and that stage's message, which names both files)
+LATE_FAULTS = {
+    "enroll-dimension": ("enroll", _drop_last_value, ["train-udbn"],
+                         "balance: {enroll} has dimension 49, {background} has 50"),
+    "test-dimension": ("test", _drop_last_value, list(STAGE_COMMANDS[:3]),
+                       "score: {test} has dimension 49, {enroll} has 50"),
+    "trial-utterance": ("trials", lambda text: text + "spk0001 nosuch_utt nontarget\n",
+                        list(STAGE_COMMANDS[:3]),
+                        "score: unknown utterance id 'nosuch_utt' in {trials}: "
+                        "no such utterance in {test}"),
+}
+
+
+@pytest.mark.parametrize("fault", LATE_FAULTS)
+def test_cli_an_input_that_disagrees_with_another_names_both_files(tmp_path, capsys, fault):
+    name, edit, recorded, message = LATE_FAULTS[fault]
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    path = Path(pairs[name])
+    path.write_text(edit(path.read_text()))
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == f"spkdbn: stage {message.format(**pairs)}\n"
+    assert (Path(pairs["out"]) / "stamp").read_text().splitlines()[1:] == recorded
+
+
+def test_cli_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    lines = Path(pairs["test"]).read_bytes().splitlines(keepends=True)
+    assert lines[2].startswith(b"spk0000_sess002 ")
+    lines[2] = b"spk00\xff" + lines[2][6:]
+    Path(pairs["test"]).write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage score: {pairs['test']}:3: not UTF-8 text (byte 0xff at column 6)\n")
+
+
+def test_cli_tab_separated_inputs_give_the_same_outputs(tmp_path):
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 0
+    tabbed = pairs | {"out": str(tmp_path / "tabbed")}
+    for name in cli._INPUTS:
+        tabbed[name] = str(tmp_path / f"tabbed_{name}.txt")
+        Path(tabbed[name]).write_text(Path(pairs[name]).read_text().replace(" ", "\t"))
+    assert main(["run", "--config", _write_config(tmp_path / "tabbed.cfg", tabbed)]) == 0
+    want, got = _tree_hashes(Path(pairs["out"])), _tree_hashes(tmp_path / "tabbed")
+    assert want.pop("stamp") != got.pop("stamp")     # the stamp hashes the input bytes
+    assert got == want
 
 
 def test_cli_repeated_trial_pair_is_reported(tmp_path, capsys):
@@ -1220,8 +1329,7 @@ def test_training_a_speaker_holds_one_network_and_one_momentum_state(tmp_path):
     save_dbn(DbnParams(layers, normalized=True), tmp_path / "udbn_norm.dbn")
     (tmp_path / "models").mkdir()
     cfg = ExperimentConfig(out=str(tmp_path), task="single", depth=2, init_mode="dbn",
-                           adapt_layers=2, adapt_lr=(0.001, 0.0001), adapt_epochs=(1, 1),
-                           ft_epochs=2)
+                           adapt_lr=(0.001, 0.0001), adapt_epochs=(1, 1), ft_epochs=2)
     task = (cfg, "spk", rng.normal(size=(1, 100)), rng.normal(size=(12, 100)))
     tracemalloc.start()
     try:

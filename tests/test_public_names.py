@@ -92,7 +92,7 @@ def test_every_public_function_and_method_runs_in_a_pipeline_invocation(tmp_path
         assert main(["gen-synth", "--speakers", "40", "--sessions", "5", "--dim", "50",
                      "--within-spread", "0.2", "--seed", "1000", "--unlabeled",
                      "--out", pairs["background"]]) == 0
-        runs = {"dbn": ["depth=2", "adapt_layers=2"], "random": ["init_mode=random"]}
+        runs = {"dbn": ["depth=2"], "random": ["init_mode=random"]}
         for out, items in runs.items():
             overrides = [f"--override={item}" for item in (f"out={tmp_path / out}", *items)]
             assert main(["run", "--config", str(config), "--jobs", "1", *overrides]) == 0

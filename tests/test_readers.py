@@ -61,6 +61,9 @@ EDGE_FLOATS = "1_0 +1.5 ٣.٥ 1e-320 4.9e-324 2.5e-324 .5 5. 1E5 -0 1.7976931348
     "# comment\n\nu1 a 1 2\n\n# another\nu2 b 3 4\n",
     "u1 a 1.0 2.0\r\nu2 - 3.0 4.0\r\n",
     "u1 a 1.0 2.0   \nu2 b 3.0 4.0 \t\n",
+    # any run of whitespace separates fields, as in a trial list
+    "u1 a 1.0  2.0\n",
+    "u1\ta\t1.0\t2.0\nu2 -\t 3.0 \t4.0\n",
     f"u1 a {EDGE_FLOATS}\n",
 ])
 def test_embedding_reader_matches_the_oracle_on_valid_files(text):
@@ -82,7 +85,7 @@ def test_embedding_reader_matches_the_oracle_on_random_rows():
     ("#embeddings d=2\n\n", "emb.txt: no embedding records found"),
     ("u1 a 1.0\nu2 b\n", ":2: expected id, speaker and values"),
     ("u1 a 1.0 oops\n", ":1: bad float field (could not convert string to float: 'oops')"),
-    ("u1 a 1.0  2.0\n", ":1: bad float field (could not convert string to float: '')"),
+    ("u1\ta\t1.0\nu2\tb\n", ":2: expected id, speaker and values"),
     ("u1 a 0x10\n", ":1: bad float field"),
     ("u1 a 1__0\n", ":1: bad float field"),
     ("u1 a 1.0 2.0\nu2 a 1.0 2.0 3.0\n", ":2: dimension 3 != 2 of first row"),

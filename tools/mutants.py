@@ -40,7 +40,6 @@ MUTANTS = {
         "balance", "np.lexsort((idx, -scores))", "np.lexsort((-idx, -scores))"),
     "stage-impostor-n-one": (
         "cli", "inputs.background.vectors, cfg.impostor_n)", "inputs.background.vectors, 1)"),
-    "impostor-n-unchecked": ("cli", "if self.impostor_n < 1:", "if False:"),
     "balance-clusters-every-row": (
         "cli", "inputs.background.vectors[selected]", "inputs.background.vectors"),
     "target-norm-unchecked": ("cli", "    _check_norms(targets,", "    0 and _check_norms(targets,"),
@@ -75,6 +74,9 @@ MUTANTS = {
         "udbn", "if batches.ndim != 3 or 0 in batches.shape or batches.shape[2] != d:", "if False:"),
     "adapt-one-layer-fewer": (
         "cli", "for k in range(cfg.adapt_layers)]", "for k in range(cfg.adapt_layers - 1)]"),
+    "adapt-lists-unchecked": (
+        "cli", "if len(self.adapt_lr) != len(self.adapt_epochs) or len(self.adapt_lr) > self.depth:",
+        "if False:"),
     "same-speaker-seed": (
         "cli", "derive_seed(cfg.master_seed, speaker_id)", 'derive_seed(cfg.master_seed, "speaker")'),
     # fine-tuning
@@ -136,6 +138,14 @@ MUTANTS = {
     "embedding-non-finite-unchecked": (
         "embeddings", "if not np.isfinite(values).all():", "if False:"),
     "embedding-dimension-unchecked": ("embeddings", "elif values.size != dim:", "elif False:"),
+    "embedding-fields-single-spaced": ("embeddings", "fields = line.split()", 'fields = line.split(" ")'),
+    "non-utf8-line-unnamed": (
+        "cli", "except UnicodeDecodeError as exc:", "except ArithmeticError as exc:"),
+    # two inputs that disagree are named together by the stage that holds both
+    "enroll-dimension-unchecked": (
+        "cli", "if inputs.enroll.dimension != inputs.background.dimension:", "if False:"),
+    "test-dimension-unchecked": ("cli", "if test.dimension != inputs.enroll.dimension:", "if False:"),
+    "trial-utterance-unchecked": ("cli", "missing = set(utts) - set(test.ids)", "missing = set()"),
     "trial-key-unchecked": (
         "evaluation", 'if len(fields) != 3 or fields[2] not in ("target", "nontarget"):',
         "if len(fields) != 3:"),
