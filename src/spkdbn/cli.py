@@ -37,9 +37,9 @@ import numpy as np
 from . import balance, dnn, evaluation, udbn
 from .embeddings import (
     Dataset,
-    ParseError,
     SynthConfig,
     Whitener,
+    _lines,
     fit_whitener,
     generate_synthetic,
     load_arrays,
@@ -151,11 +151,8 @@ def _coerce(key: str, value: str):
 
 def parse_config_file(path) -> dict:
     pairs, first_line = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    with open(path, "rb") as fh:
+        for lineno, line in _lines(fh, path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
@@ -246,16 +243,11 @@ _MODEL = os.path.join("models", "{}.dnn")
 _SCORES, _REPORT, _DET = "scores_{}.txt", "report_{}.txt", "det_{}.csv"
 
 
-def _decoded(fh, digest, path):
-    """The lines of the binary file `fh` as text, each hashed into `digest`
-    first; a line that is not UTF-8 raises ParseError naming `path` and it."""
-    for lineno, line in enumerate(fh, start=1):
+def _hashed(fh, digest):
+    """The lines of the binary file `fh`, each hashed into `digest` first."""
+    for line in fh:
         digest.update(line)
-        try:
-            yield line.decode()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not UTF-8 text (byte {line[exc.start]:#04x} "
-                             f"at column {exc.start + 1})") from None
+        yield line
 
 
 def _parsed(name: str):
@@ -264,7 +256,7 @@ def _parsed(name: str):
         path, digest = getattr(inputs.cfg, name), hashlib.sha256()
         parse = evaluation.parse_trials if name == "trials" else parse_embeddings
         with open(path, "rb") as fh:
-            parsed = parse(_decoded(fh, digest, path), path)
+            parsed = parse(_hashed(fh, digest), path)
         if digest.digest() != inputs.digests[name]:
             raise ValueError(f"input file {path} changed after this invocation hashed it")
         return parsed
@@ -302,15 +294,18 @@ class _Inputs:
 
     @functools.cached_property
     def speakers(self) -> dict[str, np.ndarray]:
-        """`enroll.by_speaker()`, which must name at least one speaker."""
-        groups = self.enroll.by_speaker()
+        """`enroll.by_speaker()`, checked by every rule that the enrollment alone sets."""
+        path, groups = self.cfg.enroll, self.enroll.by_speaker()
         if not groups:
-            raise ValueError("enrollment data has no speaker labels")
-        for label in groups:
+            raise ValueError(f"{path} has no speaker labels")
+        limit = 1 if self.cfg.task == "single" else self.cfg.num_centroids  # a plan's target slots
+        for label, sessions in groups.items():
             if os.path.basename(label) != label:
-                raise ValueError(f"speaker label {label!r} in {self.cfg.enroll} has a path "
-                                 f"separator; a label names its model file "
-                                 f"{_MODEL.format('<label>')}")
+                raise ValueError(f"speaker label {label!r} in {path} has a path separator; "
+                                 f"a label names its model file {_MODEL.format('<label>')}")
+            if len(sessions) > limit:
+                raise ValueError(f"speaker {label!r} in {path} has {len(sessions)} sessions; "
+                                 f"the {self.cfg.task} task takes at most {limit}")
         return groups
 
 
@@ -347,8 +342,9 @@ def _check_norms(vectors, names, what: str, path: str) -> None:
 
 
 def stage_train_udbn(cfg: ExperimentConfig, inputs: _Inputs) -> None:
-    # The background, the whitener and the config are checked before the first
-    # stage is recorded, so that a corrected config or input can resume here.
+    # The enrollment, the background, the whitener and the config are checked before
+    # the first stage is recorded, so that a corrected config or input can resume here.
+    inputs.speakers
     _check_norms(inputs.background.vectors, inputs.background.ids, "background utterance",
                  cfg.background)
     whitener = fit_whitener(inputs.background.vectors)
@@ -389,13 +385,7 @@ def _train_one_speaker(args) -> str:
     network is one set of arrays from load to save: adaptation, the DNN
     built on the adapted DBN and fine-tuning all work in place."""
     cfg, speaker_id, targets, centroids = args
-    try:
-        if cfg.task == "single" and targets.shape[0] != 1:
-            raise ValueError(f"single task needs exactly 1 enrollment vector per speaker, "
-                             f"got {targets.shape[0]}")
-        plan = balance.build_minibatch_plan(targets, centroids, cfg.num_minibatches)
-    except ValueError as exc:
-        raise ValueError(f"speaker {speaker_id}: {exc}") from exc
+    plan = balance.build_minibatch_plan(targets, centroids, cfg.num_minibatches)
     spk_seed = derive_seed(cfg.master_seed, speaker_id)
     if cfg.init_mode == "dbn":
         adapted = udbn.adapt_udbn(udbn.load_dbn(os.path.join(cfg.out, _UDBN)), plan.batches,
@@ -423,6 +413,20 @@ def stage_train_speakers(cfg: ExperimentConfig, inputs: _Inputs, jobs: int) -> N
             _train_one_speaker(t)
 
 
+def _baseline_vectors(rows, what: str, path: str, whitener: Whitener) -> dict[str, np.ndarray]:
+    """{name: baseline vector} of each (name, vectors) in `rows`.  A vector
+    that cannot be length-normalized raises as `<what> <name> in <path>`,
+    with no RuntimeWarning: the path of every baseline vector of a score run."""
+    out = {}
+    with np.errstate(over="ignore", invalid="ignore"):   # length_normalize rejects the result
+        for name, vectors in rows:
+            try:
+                out[name] = evaluation.baseline_vector(vectors, whitener)
+            except ValueError as exc:
+                raise ValueError(f"{what} {name!r} in {path}: {exc}") from None
+    return out
+
+
 def stage_score(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     """Score every trial with its speaker's DNN and with the cosine baseline,
     fuse the two, and write each system's scores, report and DET file."""
@@ -431,8 +435,9 @@ def stage_score(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     whitener = Whitener(arrays["mean"], arrays["transform"])
     unknown = set(trials.models) - set(groups)
     if unknown:
-        raise ValueError(f"trial model {min(unknown)!r} is not an enrolled speaker")
-    utts, prepared = list(dict.fromkeys(trials.tests)), {}
+        raise ValueError(f"trial model {min(unknown)!r} in {cfg.trials} is not a speaker "
+                         f"in {cfg.enroll}")
+    utts = list(dict.fromkeys(trials.tests))
     missing = set(utts) - set(test.ids)
     if missing:
         raise ValueError(f"unknown utterance id {min(missing)!r} in {cfg.trials}: "
@@ -440,18 +445,14 @@ def stage_score(cfg: ExperimentConfig, inputs: _Inputs) -> None:
     if test.dimension != inputs.enroll.dimension:
         raise ValueError(f"{cfg.test} has dimension {test.dimension}, "
                          f"{cfg.enroll} has {inputs.enroll.dimension}")
-    with np.errstate(over="ignore", invalid="ignore"):   # length_normalize rejects the result
-        for t, x in zip(utts, test.rows(utts)):
-            try:
-                prepared[t] = evaluation.baseline_vector(x, whitener)
-            except ValueError as exc:
-                raise ValueError(f"test utterance {t!r} in {cfg.test}: {exc}") from None
+    blocks = trials.by_model()
+    prepared = _baseline_vectors(zip(utts, test.rows(utts)), "test utterance", cfg.test, whitener)
+    centres = _baseline_vectors(((m, groups[m]) for m in blocks), "speaker", cfg.enroll, whitener)
     scores = {"dnn": np.empty(len(trials)), "baseline": np.empty(len(trials))}
-    for model_id, block in trials.by_model().items():
+    for model_id, block in blocks.items():
         model = dnn.load_dnn(os.path.join(cfg.out, _MODEL.format(model_id)))
         scores["dnn"][block] = dnn.score_llr_batch(model, test.rows(trials.tests[block]))
-        centre = evaluation.baseline_vector(groups[model_id], whitener)
-        scores["baseline"][block] = [evaluation.score_baseline(centre, prepared[t])
+        scores["baseline"][block] = [evaluation.score_baseline(centres[model_id], prepared[t])
                                      for t in trials.tests[block]]
     for system, s in scores.items():
         bad = np.flatnonzero(~np.isfinite(s))

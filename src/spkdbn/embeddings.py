@@ -140,8 +140,21 @@ class SynthConfig:
             raise ValueError("spreads must be > 0")
 
 
+def _lines(lines, path):
+    """(line number, stripped text) per record of the binary `lines` of the text input
+    `path`: a line that is not UTF-8 is a ParseError, and blank and '#' lines are skipped."""
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode().strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text (byte {raw[exc.start]:#04x} "
+                             f"at column {exc.start + 1})") from None
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_embeddings(lines, path) -> Dataset:
-    """Parse the lines of the embedding text file `path` into a Dataset.
+    """Parse the binary lines of the embedding text file `path` into a Dataset.
 
     The one check of an embedding file: the dimension is inferred from the
     first record; a malformed row, bad float, inconsistent dimension,
@@ -153,10 +166,7 @@ def parse_embeddings(lines, path) -> Dataset:
     rows: list[np.ndarray] = []
     dim = None
     seen: set[str] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(lines, path):
         fields = line.split()
         if len(fields) < 3:
             raise ParseError(f"{path}:{lineno}: expected id, speaker and values")

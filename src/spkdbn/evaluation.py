@@ -20,7 +20,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .embeddings import ParseError, Whitener, _fmt, apply_whitener, length_normalize
+from .embeddings import ParseError, Whitener, _fmt, _lines, apply_whitener, length_normalize
 
 DCF_C_MISS = 10.0
 DCF_C_FA = 1.0
@@ -140,14 +140,13 @@ def evaluate_trials(scores, keys) -> EvalReport:
 
 
 def parse_trials(lines, path) -> Trials:
-    """Trial list file `path` from its lines, `<model_id> <test_utterance_id>
-    <target|nontarget>` each, in any order, each pair once; sorted by (model, test).
-    The one check of a trial list: a ParseError names the offending line."""
+    """Trial list file `path` from its binary lines, `<model_id> <test_utterance_id>
+    <target|nontarget>` each, in any order, each pair once, both keys present;
+    sorted by (model, test).  The one check of a trial list: a ParseError
+    names the offending line, or the file for a missing key class."""
     key_of, first_line = {}, {}
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
+    for lineno, line in _lines(lines, path):
+        fields = line.split()
         if len(fields) != 3 or fields[2] not in ("target", "nontarget"):
             raise ParseError(f"{path}:{lineno}: expected '<model> <test> <target|nontarget>'")
         pair = (fields[0], fields[1])
@@ -157,6 +156,9 @@ def parse_trials(lines, path) -> Trials:
         key_of[pair], first_line[pair] = fields[2], lineno
     if not key_of:
         raise ParseError(f"{path}: no trials found")
+    for key in ("target", "nontarget"):
+        if key not in key_of.values():
+            raise ParseError(f"{path}: no {key} trial")
     models, tests = zip(*sorted(key_of))
     return Trials(models, tests, tuple(key_of[pair] for pair in zip(models, tests)))
 

@@ -5,12 +5,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from spkdbn.embeddings import (Dataset, SynthConfig, generate_synthetic, parse_embeddings,
                                save_embeddings)
+from spkdbn.evaluation import Trials, parse_trials
 
 
 def read_embeddings(path) -> Dataset:
     """The embedding file at path, read by the package's own reader."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return parse_embeddings(fh, path)
+
+
+def read_trials(path) -> Trials:
+    """The trial list at path, read by the package's own reader."""
+    with open(path, "rb") as fh:
+        return parse_trials(fh, path)
 
 
 def unlabel(dataset: Dataset) -> Dataset:

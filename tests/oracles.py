@@ -118,13 +118,27 @@ def mean_cross_entropy_oracle(model, X, Y):
 
 # Line-by-line readers that the package's readers must match: the
 # same arrays, bit for bit, and the same ParseError text for a malformed file.
+# Both take a file's binary lines.
+
+def _text_oracle(raw, path, lineno):
+    """A binary line as text.  Each byte that is not part of UTF-8 text
+    decodes to its own lone surrogate, so the first one found is the byte
+    to name, and the text before it re-encodes to its column."""
+    text = raw.decode(errors="surrogateescape")
+    bad = [i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff"]
+    if bad:
+        column = len(text[:bad[0]].encode(errors="surrogateescape")) + 1
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text "
+                         f"(byte {ord(text[bad[0]]) - 0xdc00:#04x} at column {column})")
+    return text
+
 
 def parse_embeddings_oracle(lines, path):
     ids, speakers, rows = [], [], []
     dim = None
     seen = set()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = _text_oracle(raw, path, lineno).strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
@@ -157,7 +171,7 @@ def parse_embeddings_oracle(lines, path):
 def parse_trials_oracle(lines, path):
     key_of, first_line = {}, {}
     for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
+        fields = _text_oracle(raw, path, lineno).split()
         if not fields or fields[0].startswith("#"):
             continue
         if len(fields) != 3 or fields[2] not in ("target", "nontarget"):
@@ -169,6 +183,11 @@ def parse_trials_oracle(lines, path):
         key_of[pair], first_line[pair] = fields[2], lineno
     if not key_of:
         raise ParseError(f"{path}: no trials found")
+    keys = set(key_of.values())
+    if "target" not in keys:
+        raise ParseError(f"{path}: no target trial")
+    if "nontarget" not in keys:
+        raise ParseError(f"{path}: no nontarget trial")
     models, tests = zip(*sorted(key_of))
     return Trials(models, tests, tuple(key_of[pair] for pair in zip(models, tests)))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_experiment, read_embeddings, subset
+from conftest import make_experiment, read_embeddings, read_trials, subset
 from oracles import cosine_bits_oracle, load_scores_oracle, select_impostors_oracle
 from spkdbn import cli
 from spkdbn.balance import kmeans_cosine
@@ -36,7 +36,7 @@ from spkdbn.embeddings import (
     save_arrays,
     save_embeddings,
 )
-from spkdbn.evaluation import evaluate_trials, fuse, parse_trials, save_report
+from spkdbn.evaluation import evaluate_trials, fuse, save_report
 from spkdbn.rbm import RbmParams
 from spkdbn.udbn import DbnParams, load_dbn, normalize_udbn, save_dbn, train_udbn
 
@@ -157,6 +157,20 @@ def test_config_file_rejects_an_inline_comment(tmp_path, capsys, monkeypatch, li
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--config", str(cfg_file)]) == 1
     assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_config_file_with_a_byte_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys,
+                                                                        monkeypatch):
+    # the config follows the inputs' line rule, not the locale's encoding
+    cfg_file = tmp_path / "exp.cfg"
+    cfg_file.write_bytes(b"# experiment\ntask=single\nout=caf\xff\n")
+    message = f"{cfg_file}:3: not UTF-8 text (byte 0xff at column 8)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config_file(cfg_file)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"spkdbn: run: {message}\n"
     assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
@@ -329,7 +343,7 @@ def test_a_missing_artifact_re_runs_only_its_stage_to_the_same_bytes(
 def test_reports_and_det_files_evaluate_the_written_scores(tmp_path, finished_experiment, system):
     pairs, _ = finished_experiment
     out = Path(pairs["out"])
-    trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
+    trials = read_trials(pairs["trials"])
     scores = load_scores_oracle(out / f"scores_{system}.txt", trials)
     if system == "fused":
         fused = fuse(*(load_scores_oracle(out / f"scores_{s}.txt", trials)
@@ -485,19 +499,69 @@ def test_cli_stage_before_its_inputs_fails(tmp_path, capsys, command, stage):
 
 
 def test_cli_train_speakers_names_the_speaker_with_bad_enrollment(tmp_path, capsys):
+    # the enrollment rules are checked by the first stage, before anything is recorded
     pairs = make_experiment(tmp_path / "exp")
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
     enroll = read_embeddings(pairs["enroll"])
     second = enroll.by_speaker()["spk0005"] + 0.01
     save_embeddings(Dataset(enroll.ids + ("spk0005_sess000b",), enroll.speakers + ("spk0005",),
                             np.vstack([enroll.vectors, second])), pairs["enroll"])
-    for cmd in STAGE_COMMANDS[:2]:
-        assert main([cmd, "--config", cfg_file]) == 0
     capsys.readouterr()
-    assert main(["train-speakers", "--config", cfg_file]) == 1
-    err = capsys.readouterr().err
-    assert "speaker spk0005" in err
-    assert "exactly 1 enrollment vector" in err
+    assert main(["train-udbn", "--config", cfg_file]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage train-udbn: speaker 'spk0005' in {pairs['enroll']} has 2 sessions; "
+        "the single task takes at most 1\n")
+    assert os.listdir(pairs["out"]) == []
+
+
+def _with_sessions(enroll, speaker, count):
+    """`enroll` with `speaker`'s one session followed by count - 1 perturbed copies."""
+    first = enroll.speakers.index(speaker)
+    extra = enroll.vectors[first] + 0.01 * np.arange(1, count)[:, None]
+    return Dataset(enroll.ids + tuple(f"{speaker}_extra{k:03d}" for k in range(1, count)),
+                   enroll.speakers + (speaker,) * (count - 1),
+                   np.vstack([enroll.vectors, extra]))
+
+
+# fault -> (config keys beyond make_experiment's, the edit of the enrollment
+# set, and the error train-udbn stops with)
+ENROLL_FAULTS = {
+    "no-labels": ({}, lambda enroll: Dataset(enroll.ids, (None,) * len(enroll), enroll.vectors),
+                  "{enroll} has no speaker labels"),
+    "label-separator": (
+        {}, lambda enroll: Dataset(enroll.ids, ("a/b",) + enroll.speakers[1:], enroll.vectors),
+        "speaker label 'a/b' in {enroll} has a path separator; a label names its model file "
+        + os.path.join("models", "<label>.dnn")),
+    "single-two-sessions": ({}, lambda enroll: _with_sessions(enroll, "spk0001", 2),
+                            "speaker 'spk0001' in {enroll} has 2 sessions; "
+                            "the single task takes at most 1"),
+    "multi-past-the-target-slots": (
+        {"task": "multi"}, lambda enroll: _with_sessions(enroll, "spk0001", 25),
+        "speaker 'spk0001' in {enroll} has 25 sessions; the multi task takes at most 24"),
+}
+
+
+@pytest.mark.parametrize("fault", ENROLL_FAULTS)
+def test_an_enrollment_fault_stops_train_udbn_and_the_fixed_file_resumes(tmp_path, capsys,
+                                                                          fault):
+    # Each fault used to stop a later stage, after the UDBN was recorded under
+    # the faulty file's stamp; now nothing is, so the same out/ resumes.
+    overrides, edit, message = ENROLL_FAULTS[fault]
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4) | overrides
+    cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    good = Path(pairs["enroll"]).read_bytes()
+    save_embeddings(edit(read_embeddings(pairs["enroll"])), pairs["enroll"])
+    capsys.readouterr()
+    for command in ("train-udbn", "run"):
+        assert main([command, "--config", cfg_file]) == 1, command
+        assert capsys.readouterr().err == (
+            f"spkdbn: stage train-udbn: {message.format(**pairs)}\n"), command
+        assert os.listdir(pairs["out"]) == [], command
+    Path(pairs["enroll"]).write_bytes(good)
+    assert main(["run", "--config", cfg_file]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["run", "--config", cfg_file, "--override", f"out={fresh}"]) == 0
+    assert _tree_hashes(Path(pairs["out"])) == _tree_hashes(fresh)
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
@@ -678,7 +742,7 @@ def test_cli_score_rejects_a_nan_score_before_writing_anything(tmp_path, capsys,
     for cmd in STAGE_COMMANDS[:3]:
         assert main([cmd, "--config", cfg_file]) == 0
     before = _tree_hashes(out)
-    trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
+    trials = read_trials(pairs["trials"])
     _nan_at_trial(monkeypatch, system, index)
     capsys.readouterr()
     assert main(["score", "--config", cfg_file]) == 1
@@ -762,6 +826,25 @@ def test_cli_balance_names_a_speaker_whose_target_has_zero_or_overflowing_norm(t
 
 
 @pytest.mark.filterwarnings("error")
+def test_cli_score_names_a_speaker_whose_whitened_centre_overflows(tmp_path, capsys):
+    # A constant background column is scaled up by the whitener's ridge, about
+    # 1/sqrt(1e-6 trace/d), so an enrollment entry there whose raw norm is
+    # finite overflows the whitened centre's norm.  Every model trains first.
+    pairs = make_experiment(tmp_path / "exp", num_speakers=4)
+    for row in range(200):
+        _set_row(pairs["background"], row, lambda v: ["0"] + v[1:])
+    assert _set_row(pairs["enroll"], 1, lambda v: ["1e152"] + v[1:]) == "spk0001_sess000"
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path / "exp.cfg", pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"spkdbn: stage score: speaker 'spk0001' in {pairs['enroll']}: "
+        "cannot length-normalize a vector of norm inf\n")
+    out = tmp_path / "exp" / "out"
+    assert len(list((out / "models").iterdir())) == 4
+    assert not [p.name for p in out.iterdir() if p.name.startswith(("scores_", "report_", "det_"))]
+
+
+@pytest.mark.filterwarnings("error")
 def test_cli_a_zero_session_among_several_still_trains(tmp_path):
     # the target is the mean of the sessions, whose norm is not zero
     pairs = make_experiment(tmp_path / "exp", num_speakers=4) | {"task": "multi"}
@@ -795,7 +878,7 @@ def trained_experiment(tmp_path_factory):
     cfg_file = _write_config(root / "exp.cfg", pairs)
     for cmd in STAGE_COMMANDS[:3]:
         assert main([cmd, "--config", cfg_file]) == 0
-    trials = parse_trials(Path(pairs["trials"]).read_text().splitlines(), pairs["trials"])
+    trials = read_trials(pairs["trials"])
     return pairs, cfg_file, trials
 
 
@@ -960,18 +1043,21 @@ def test_cli_score_baseline_bytes_match_the_per_trial_definition(tmp_path):
 
 @pytest.mark.parametrize("trial, message", [
     ("spk0001 nosuchutt nontarget", "unknown utterance id 'nosuchutt'"),
-    ("spk9999 spk0001_sess001 nontarget", "trial model 'spk9999' is not an enrolled speaker"),
-    ("spk9999 nosuchutt nontarget", "trial model 'spk9999' is not an enrolled speaker"),
+    ("spk9999 spk0001_sess001 nontarget",
+     "trial model 'spk9999' in {trials} is not a speaker in {enroll}"),
+    ("spk9999 nosuchutt nontarget",
+     "trial model 'spk9999' in {trials} is not a speaker in {enroll}"),
 ])
 def test_cli_trial_naming_an_unknown_id_is_reported(tmp_path, capsys, trial, message):
     pairs = make_experiment(tmp_path / "exp", num_speakers=4)
     with open(pairs["trials"], "a") as fh:
         fh.write(trial + "\n")
     cfg_file = _write_config(tmp_path / "exp.cfg", pairs)
+    message = f"stage score: {message.format(**pairs)}"
     assert main(["run", "--config", cfg_file]) == 1
-    assert f"stage score: {message}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert main(["score-baseline", "--config", cfg_file]) == 1    # runs the score stage
-    assert f"stage score: {message}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def _drop_last_value(text):

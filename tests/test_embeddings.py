@@ -72,7 +72,7 @@ def test_parsing_streams_the_file_one_line_at_a_time(tmp_path):
     save_embeddings(ds, p)
     tracemalloc.start()
     try:
-        with open(p) as fh:
+        with open(p, "rb") as fh:
             back = parse_embeddings(fh, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -311,8 +311,8 @@ def test_evaluate_trials_sweeps_once_and_matches_the_three_oracles(monkeypatch):
 
 
 def test_trial_and_score_files(tmp_path):
-    trials = parse_trials(["m2 t1 nontarget\n", "m1 t2 nontarget\n", "# comment\n",
-                           "m1 t1 target\n"], "trials.txt")
+    trials = parse_trials([b"m2 t1 nontarget\n", b"m1 t2 nontarget\n", b"# comment\n",
+                           b"m1 t1 target\n"], "trials.txt")
     assert trials.models == ("m1", "m1", "m2")
     assert trials.tests == ("t1", "t2", "t1")
     assert trials.keys == ("target", "nontarget", "nontarget")

@@ -2,8 +2,12 @@
 
 Each case runs the package reader and its oracle on the same file: a valid
 file must give bit-identical arrays, and a malformed one the same ParseError
-text.
+text.  A case is written as text, in which a lone surrogate U+DCxx stands
+for the byte 0xXX that is not UTF-8, and both readers get the lines that a
+binary file of it yields, split at b"\n" only.
 """
+
+import io
 
 import pytest
 import numpy as np
@@ -25,8 +29,12 @@ def _same_array(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _binary_lines(text):
+    return io.BytesIO(text.encode(errors="surrogateescape")).readlines()
+
+
 def _check_embeddings(text, path="emb.txt"):
-    lines = text.splitlines(keepends=True)
+    lines = _binary_lines(text)
     got, want = _outcome(parse_embeddings, lines, path), _outcome(parse_embeddings_oracle, lines, path)
     assert got[0] == want[0], (got, want)
     if got[0] == "error":
@@ -38,7 +46,7 @@ def _check_embeddings(text, path="emb.txt"):
 
 
 def _check_trials(text, path="trials.txt"):
-    lines = text.splitlines(keepends=True)
+    lines = _binary_lines(text)
     got, want = _outcome(parse_trials, lines, path), _outcome(parse_trials_oracle, lines, path)
     assert got == want
     return got
@@ -61,6 +69,8 @@ EDGE_FLOATS = "1_0 +1.5 ٣.٥ 1e-320 4.9e-324 2.5e-324 .5 5. 1E5 -0 1.7976931348
     "# comment\n\nu1 a 1 2\n\n# another\nu2 b 3 4\n",
     "u1 a 1.0 2.0\r\nu2 - 3.0 4.0\r\n",
     "u1 a 1.0 2.0   \nu2 b 3.0 4.0 \t\n",
+    # UTF-8 text other than ASCII, in a comment and in the labels
+    "# café\nu1 é 1.0 2.0\nü2 - 3.0 4.0\n",
     # any run of whitespace separates fields, as in a trial list
     "u1 a 1.0  2.0\n",
     "u1\ta\t1.0\t2.0\nu2 -\t 3.0 \t4.0\n",
@@ -96,6 +106,11 @@ def test_embedding_reader_matches_the_oracle_on_random_rows():
     # two faults: the earlier line is named, and within a line the checks keep their order
     ("u1 a 1.0 2.0\nu2 a x 2.0\nu1 a 1.0 2.0\n", ":2: bad float field"),
     ("u1 a 1.0 2.0\nu1 a inf 2.0\nu3 a 1.0\n", ":2: duplicate utterance_id 'u1'"),
+    # a byte that is not UTF-8 is named with its line and column, in a comment too
+    ("u1 a 1.0 2.0\nu2 \udcff 1.0 2.0\n", "emb.txt:2: not UTF-8 text (byte 0xff at column 4)"),
+    ("# caf\udce9\nu1 a 1.0\n", ":1: not UTF-8 text (byte 0xe9 at column 6)"),
+    ("u1 é\udce2\udc82 1.0\n", ":1: not UTF-8 text (byte 0xe2 at column 6)"),
+    ("u1 a 1.0 2.0\nu2 a 1.0\nu3 \udcff 1.0 2.0\n", ":2: dimension 1 != 2 of first row"),
 ])
 def test_embedding_reader_matches_the_oracle_on_malformed_files(text, message):
     outcome, error = _check_embeddings(text)
@@ -106,7 +121,6 @@ def test_embedding_reader_matches_the_oracle_on_malformed_files(text, message):
 
 @pytest.mark.parametrize("text", [
     "m2 t1 nontarget\nm1 t2 nontarget\n# comment\nm1 t1 target\n",
-    "\n\n# c\nm1 t1 target\n\n",
     "m1 t1 target\r\nm1 t2 nontarget\r\n",
     "m1 t1 target   \n  m1 t2 nontarget\t\n",
     "m1 t1 target\nt1 m1 target\nm1 m1 nontarget\n",
@@ -118,6 +132,12 @@ def test_trial_reader_matches_the_oracle_on_valid_files(text):
 @pytest.mark.parametrize("text, message", [
     ("", "trials.txt: no trials found"),
     ("# c\n\n", "trials.txt: no trials found"),
+    # both key classes, checked after every line
+    ("\n\n# c\nm1 t1 target\n\n", "trials.txt: no nontarget trial"),
+    ("m1 t1 nontarget\nm2 t1 nontarget\n", "trials.txt: no target trial"),
+    ("m1 t1 target\nm1 t1 target\n", ":2: trial 'm1 t1' repeats line 1"),
+    ("m1 t1 target\nm1 t2 target\nm1 t\udcff nontarget\n",
+     "trials.txt:3: not UTF-8 text (byte 0xff at column 5)"),
     ("m1 t1 target\nm1 t2\n", ":2: expected '<model> <test> <target|nontarget>'"),
     ("m1 t1 target\nm1 t2 bogus\n", ":2: expected '<model> <test> <target|nontarget>'"),
     ("m1 t1 target extra\n", ":1: expected '<model> <test> <target|nontarget>'"),

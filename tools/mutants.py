@@ -53,8 +53,6 @@ MUTANTS = {
         "balance", "C.reshape(num_minibatches, group, -1)", "C[np.zeros_like(rows)]"),
     "labels-swapped": (
         "balance", "np.repeat(np.eye(2), group, axis=0)", "np.repeat(np.eye(2)[::-1], group, axis=0)"),
-    "no-single-task-check": (
-        "cli", 'if cfg.task == "single" and targets.shape[0] != 1:', "if False:"),
     # pretraining, normalization and adaptation
     "udbn-layer-on-layer-0-outputs": (
         "udbn", "X = hidden_probs(layer, X)", "X = hidden_probs(layer, X) if k == 0 else X"),
@@ -110,8 +108,11 @@ MUTANTS = {
         "evaluation", "np.mean([apply_whitener(whitener, v) for v in vectors], axis=0)",
         "apply_whitener(whitener, np.mean(vectors, axis=0))"),
     "baseline-first-session-only": (
-        "cli", "baseline_vector(groups[model_id], whitener)",
-        "baseline_vector(groups[model_id][:1], whitener)"),
+        "cli", "((m, groups[m]) for m in blocks)", "((m, groups[m][:1]) for m in blocks)"),
+    "centre-unguarded": (
+        "cli",
+        'centres = _baseline_vectors(((m, groups[m]) for m in blocks), "speaker", cfg.enroll, whitener)',
+        "centres = {m: evaluation.baseline_vector(groups[m], whitener) for m in blocks}"),
     "fusion-ignores-baseline": (
         "evaluation", "return mean_var_normalize(scores_a) + mean_var_normalize(scores_b)",
         "return 2.0 * mean_var_normalize(scores_a)"),
@@ -124,6 +125,7 @@ MUTANTS = {
         "evaluation", "eer = p_miss[i - 1] + a * (p_miss[i] - p_miss[i - 1])", "eer = p_miss[i]"),
     "non-finite-score-fused": ("cli", "        if bad.size:", "        if False:"),
     "trial-duplicates-unchecked": ("evaluation", "if pair in key_of:", "if False:"),
+    "trial-classes-unchecked": ("evaluation", 'for key in ("target", "nontarget"):', "for key in ():"),
     "forward-bias-dropped": ("dnn", "a += b", "pass"),
     "score-enrolled-set-unchecked": (
         "cli", "unknown = set(trials.models) - set(groups)", "unknown = set()"),
@@ -140,7 +142,7 @@ MUTANTS = {
     "embedding-dimension-unchecked": ("embeddings", "elif values.size != dim:", "elif False:"),
     "embedding-fields-single-spaced": ("embeddings", "fields = line.split()", 'fields = line.split(" ")'),
     "non-utf8-line-unnamed": (
-        "cli", "except UnicodeDecodeError as exc:", "except ArithmeticError as exc:"),
+        "embeddings", "except UnicodeDecodeError as exc:", "except ArithmeticError as exc:"),
     # two inputs that disagree are named together by the stage that holds both
     "enroll-dimension-unchecked": (
         "cli", "if inputs.enroll.dimension != inputs.background.dimension:", "if False:"),
@@ -155,6 +157,13 @@ MUTANTS = {
     "config-inline-comment-accepted": ("cli", 'if re.search(r"\\s#", value):', "if False:"),
     "stamp-mismatch-skipped": ("cli", "if recorded != self.stamp:", "if False:"),
     "speaker-label-unchecked": ("cli", "if os.path.basename(label) != label:", "if False:"),
+    # the enrollment rules, all in `_Inputs.speakers`, which the first stage reads
+    "no-single-task-check": (
+        "cli", 'limit = 1 if self.cfg.task == "single" else self.cfg.num_centroids',
+        "limit = self.cfg.num_centroids"),
+    "multi-session-limit-unchecked": (
+        "cli", "else self.cfg.num_centroids", "else len(self.enroll)"),
+    "enrollment-checked-after-the-udbn": ("cli", "    inputs.speakers\n", "\n"),
     "rerun-stage-kept-in-record": ("cli", "record.update(name, done=False)", "pass"),
 }
 
